@@ -19,6 +19,7 @@ from .errors import ParameterError
 from .hrs import (
     DEFAULT_BUDGET,
     CodeParams,
+    _check_received,
     brute_force_min_distance,
     encode,
     hermite_interpolate,
@@ -74,6 +75,13 @@ def _reduce_ints(p: int, values, label: str) -> list[int]:
     return out
 
 
+def _reduce_rows(p: int, raw, label: str) -> list[list[int]]:
+    """Reduce a list of rows into [0, p), rejecting anything else."""
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ParameterError(f"'{label}' must be a list of rows")
+    return [_reduce_ints(p, row, label) for row in raw]
+
+
 def _params_from_job(job: dict) -> CodeParams:
     p = _as_int(_require(job, "p"), "p")
     r = _as_int(_require(job, "r"), "r")
@@ -85,9 +93,7 @@ def _params_from_job(job: dict) -> CodeParams:
     alphas = _reduce_ints(p, alphas, "alphas")
     multipliers = job.get("multipliers")
     if multipliers is not None:
-        if not isinstance(multipliers, list):
-            raise ParameterError("'multipliers' must be a list of rows")
-        multipliers = [_reduce_ints(p, row, "multipliers") for row in multipliers]
+        multipliers = _reduce_rows(p, multipliers, "multipliers")
     return CodeParams(p, r, s, t, alphas, multipliers)
 
 
@@ -102,14 +108,8 @@ def _matrix_from_job(params: CodeParams, job: dict) -> NrtMatrix:
     raw = _require(job, "matrix")
     if isinstance(raw, dict):
         raw = _require(raw, "entries")
-    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
-        raise ParameterError("'matrix' must be a list of rows")
-    rows = [_reduce_ints(params.p, row, "matrix") for row in raw]
-    m = NrtMatrix(params.field, rows)
-    if m.shape != (params.s, params.r):
-        raise ParameterError(
-            f"matrix shape {m.shape} does not match code shape {(params.s, params.r)}"
-        )
+    m = NrtMatrix(params.field, _reduce_rows(params.p, raw, "matrix"))
+    _check_received(params, m)
     return m
 
 

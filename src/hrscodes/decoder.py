@@ -17,15 +17,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError
-from .hrs import CodeParams, _check_received, encode, hermite_interpolate
+from .hrs import CodeParams, _check_received, decoding_radius, encode, hermite_interpolate
 from .linalg import solve
 from .nrt import NrtMatrix, nrt_distance
 from .poly import Poly
-
-
-def decoding_radius(params: CodeParams) -> int:
-    """Largest error weight with a guaranteed unique decoding: (rs-t)//2."""
-    return (params.r * params.s - params.t) // 2
 
 
 class FailureReason(str, Enum):
@@ -82,6 +77,19 @@ class WbSystem:
         return n_poly, e_poly
 
 
+def _check_bound(params: CodeParams, e: int) -> None:
+    radius = decoding_radius(params)
+    if not 0 <= e <= radius:
+        raise ParameterError(f"error bound {e} outside [0, {radius}]")
+
+
+def _unscaled(params: CodeParams, y: NrtMatrix) -> NrtMatrix:
+    """y with the multipliers divided out: raw hyperderivative values."""
+    if params.unit_multipliers:
+        return y
+    return NrtMatrix(params.field, y.entries * params.inverse_multipliers() % params.p)
+
+
 def build_wb_system(params: CodeParams, y: NrtMatrix, e: int) -> WbSystem:
     """Assemble the key-equation system for the given error bound.
 
@@ -89,38 +97,20 @@ def build_wb_system(params: CodeParams, y: NrtMatrix, e: int) -> WbSystem:
     out first (see decode).
     """
     _check_received(params, y)
-    radius = decoding_radius(params)
-    if not 0 <= e <= radius:
-        raise ParameterError(f"error bound {e} outside [0, {radius}]")
-    field, p = params.field, params.p
-    r, s, t = params.r, params.s, params.t
-    n_cols = e + t
-    pow_tab = params.power_table(n_cols)
-    binom = params.binomial_table(n_cols, s)
-    yv = y.entries
-
-    m = np.zeros((s * r, n_cols + e), dtype=field.dtype)
-    rhs = np.zeros(s * r, dtype=field.dtype)
-    for d in range(s):
-        rows = slice(d * r, (d + 1) * r)
-        # N side: coefficient of a_k at order d is C(k, d) * alpha**(k-d).
-        if d < n_cols:
-            m[rows, d:n_cols] = pow_tab[:, : n_cols - d] * binom[d:, d] % p
-        # E side: coefficient of b_k collects orders m = l-j over 0..d,
-        # each contributing -y[d-m] * C(k, m) * alpha**(k-m).
-        if e > 0:
-            acc = np.zeros((r, e), dtype=field.dtype)
-            for j in range(min(d, e - 1) + 1):
-                term = pow_tab[:, : e - j] * binom[j:e, j] % p
-                acc[:, j:] += term * yv[d - j, :][:, np.newaxis] % p
-            m[rows, n_cols:] = -acc % p
-        # Monic fold: b_e = 1 contributes +y[d-m] * C(e, m) * alpha**(e-m).
-        vec = np.zeros(r, dtype=field.dtype)
-        for j in range(min(d, e) + 1):
-            c = int(binom[e, j])
-            vec += pow_tab[:, e - j] * c % p * yv[d - j, :] % p
-        rhs[d * r : (d + 1) * r] = vec % p
-    return WbSystem(matrix=m, rhs=rhs, e=e, t=t)
+    _check_bound(params, e)
+    s, r, t, p = params.s, params.r, params.t, params.p
+    table = params.derivative_table()
+    # Leibniz rule: the order-d row pairs y[d-m] with the order-m derivative
+    # of E, zero for m > e, so E's columns are y convolved with the table.
+    conv = np.zeros((s, r, e + 1), dtype=params.field.dtype)
+    for m in range(min(s, e + 1)):
+        conv[m:] += y.entries[: s - m, :, np.newaxis] * table[m, :, : e + 1] % p
+    conv %= p
+    # N takes columns 0..e+t-1; E's monic top b_e = 1 moves column e to
+    # the right-hand side, leaving b_0..b_{e-1} negated.
+    matrix = np.concatenate([table[:, :, : e + t], -conv[:, :, :e] % p], axis=2)
+    rhs = conv[:, :, e].reshape(s * r)
+    return WbSystem(matrix=matrix.reshape(s * r, 2 * e + t), rhs=rhs, e=e, t=t)
 
 
 def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
@@ -132,18 +122,9 @@ def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
     message is returned.
     """
     _check_received(params, y)
-    radius = decoding_radius(params)
     if e is None:
-        e = radius
-    elif not 0 <= e <= radius:
-        raise ParameterError(f"error bound {e} outside [0, {radius}]")
-
-    work = y
-    if not params.unit_multipliers:
-        scaled = y.entries * params.inverse_multipliers() % params.p
-        work = NrtMatrix(params.field, scaled)
-
-    system = build_wb_system(params, work, e)
+        e = decoding_radius(params)
+    system = build_wb_system(params, _unscaled(params, y), e)
     sol = solve(params.field, system.matrix, system.rhs, nullspace=False)
     if sol is None:
         return DecodeFailure(FailureReason.NO_SOLUTION)
@@ -176,16 +157,11 @@ def existence_witness(
     _check_received(params, y)
     params.field.require_same(message.field)
     field, p, s = params.field, params.p, params.s
-    if not 0 <= e <= decoding_radius(params):
-        raise ParameterError(f"error bound {e} outside [0, {decoding_radius(params)}]")
+    _check_bound(params, e)
     if nrt_distance(encode(params, message), y) > e:
         raise ParameterError("message is farther than e from y")
 
-    work = y
-    if not params.unit_multipliers:
-        scaled = y.entries * params.inverse_multipliers() % p
-        work = NrtMatrix(field, scaled)
-    gap = message - hermite_interpolate(params, work)
+    gap = message - hermite_interpolate(params, _unscaled(params, y))
     orders = [gap.vanishing_order(alpha, cap=s) for alpha in params.alphas]
     delta = sum(s - nu for nu in orders)
     if delta < e and 0 in params.alphas:

@@ -19,7 +19,7 @@ MAX_MODULUS = 1 << 61
 _INT64_MODULUS_LIMIT = (1 << 31) - 1
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
-# far beyond MAX_MODULUS.
+# far beyond MAX_MODULUS; also the trial divisors tried first.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -27,7 +27,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 2**61."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n == small:
             return True
         if n % small == 0:
@@ -105,18 +105,6 @@ class PrimeField:
     def element(self, x: int) -> int:
         """Reduce an integer into [0, p)."""
         return int(x) % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse by extended Euclid; a must be nonzero."""

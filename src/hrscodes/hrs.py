@@ -4,10 +4,13 @@ A code is fixed by (p, r, s, t, alphas, multipliers): messages are
 polynomials of degree < t, and the codeword of f is the s x r matrix with
 entry (i, j) = v_{i,j} * (order-(i-1) hyperderivative of f)(alpha_j).
 
-Besides the encoder this module provides Hermite interpolation (the inverse
-of the all-ones encoder on full-length messages), the root-multiplicity
-weight formula, and exhaustive-search oracles used to cross-check the fast
-decoder on small codes.
+The entries C(k, i) * alpha_j**(k-i) live in one cached table
+(CodeParams.derivative_table), shared by the encoder and the decoder's key
+equation.  Besides the encoder this module provides Hermite interpolation
+(the inverse of the all-ones encoder on full-length messages), the
+root-multiplicity weight formula, and exhaustive-search oracles used to
+cross-check the fast decoder on small codes; their budget may not pass
+2**63 - 1, since messages are numbered in int64.
 """
 
 import numpy as np
@@ -22,6 +25,9 @@ DEFAULT_BUDGET = 10**6
 
 # Messages enumerated per block inside the brute-force scans.
 _BATCH = 1 << 15
+
+# The scans number messages in int64, so p**t may not pass 2**63 - 1.
+_MAX_BUDGET = (1 << 63) - 1
 
 
 class CodeParams:
@@ -65,6 +71,7 @@ class CodeParams:
         self._alpha_vec = np.array(alphas, dtype=field.dtype)
         self._pow = None
         self._binom = None
+        self._deriv = None
         self._enc = None
         self._vinv = None
 
@@ -118,6 +125,26 @@ class CodeParams:
             self._binom = tab
         return self._binom[:kmax, :jmax]
 
+    def derivative_table(self) -> np.ndarray:
+        """Array of shape (s, r, t + radius) with entry (i, j, k) the
+        order-i hyperderivative of X**k at alpha_j: C(k, i) * alpha_j**(k-i),
+        and 0 for k < i.
+
+        The encoder reads the first t columns; the decoder's key equation
+        for error bound e reads the first e + t <= t + radius.
+        """
+        if self._deriv is None:
+            s, r, p = self.s, self.r, self.p
+            width = self.t + decoding_radius(self)
+            pow_tab = self.power_table(width)
+            binom = self.binomial_table(width, s)
+            tab = np.zeros((s, r, width), dtype=self.field.dtype)
+            for i in range(min(s, width)):
+                tab[i, :, i:] = pow_tab[:, : width - i] * binom[i:, i] % p
+            tab.flags.writeable = False
+            self._deriv = tab
+        return self._deriv
+
     def encoding_matrix(self) -> np.ndarray:
         """The (s*r) x t matrix mapping coefficient vectors to codeword entries.
 
@@ -125,15 +152,10 @@ class CodeParams:
         entry k is v_{i,j} * C(k, i) * alpha_j**(k-i).
         """
         if self._enc is None:
-            t, s, r, p = self.t, self.s, self.r, self.p
-            pow_tab = self.power_table(t)
-            binom = self.binomial_table(t, s)
-            blocks = np.zeros((s, r, t), dtype=self.field.dtype)
-            for i in range(min(s, t)):
-                blocks[i, :, i:] = pow_tab[:, : t - i] * binom[i:, i][np.newaxis, :] % p
-            enc = blocks.reshape(s * r, t)
+            s, r, t = self.s, self.r, self.t
+            enc = self.derivative_table()[:, :, :t].reshape(s * r, t)
             if not self.unit_multipliers:
-                enc = enc * self.multipliers.reshape(s * r, 1) % p
+                enc = enc * self.multipliers.reshape(s * r, 1) % self.p
             enc.flags.writeable = False
             self._enc = enc
         return self._enc
@@ -148,6 +170,11 @@ class CodeParams:
             inv.flags.writeable = False
             self._vinv = inv
         return self._vinv
+
+
+def decoding_radius(params: CodeParams) -> int:
+    """Largest error weight with a guaranteed unique decoding: (rs-t)//2."""
+    return (params.r * params.s - params.t) // 2
 
 
 def _check_message(params: CodeParams, f: Poly) -> None:
@@ -245,6 +272,8 @@ def codeword_weight_formula(params: CodeParams, f: Poly) -> int:
 
 
 def _check_budget(params: CodeParams, budget: int) -> int:
+    if budget > _MAX_BUDGET:
+        raise ParameterError(f"budget {budget} exceeds the int64 limit 2**63 - 1")
     count = params.p**params.t
     if count > budget:
         raise BudgetExceededError(
@@ -265,16 +294,6 @@ def _message_batch(params: CodeParams, lo: int, hi: int) -> np.ndarray:
     return ns[:, np.newaxis] // place[np.newaxis, :] % params.p
 
 
-def _batch_weights(params: CodeParams, flat: np.ndarray) -> np.ndarray:
-    """NRT weights of a (n, s*r) block of flattened matrices."""
-    n = flat.shape[0]
-    cube = flat.reshape(n, params.s, params.r)
-    nonzero = cube != 0
-    top = np.argmax(nonzero, axis=1)
-    weights = np.where(nonzero.any(axis=1), params.s - top, 0)
-    return weights.sum(axis=1)
-
-
 def brute_force_min_distance(params: CodeParams, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum NRT weight over all nonzero codewords, by full enumeration."""
     count = _check_budget(params, budget)
@@ -284,7 +303,7 @@ def brute_force_min_distance(params: CodeParams, budget: int = DEFAULT_BUDGET) -
         hi = min(lo + _BATCH, count)
         msgs = _message_batch(params, lo, hi)
         flat = msgs @ enc_t % params.p
-        weights = _batch_weights(params, flat)
+        weights = column_weights(flat.reshape(-1, params.s, params.r)).sum(axis=1)
         if lo == 0:
             weights = weights[1:]  # message 0 is the zero codeword
         if weights.size:
@@ -303,7 +322,7 @@ def _nearest_scan(params: CodeParams, y: NrtMatrix, budget: int):
         hi = min(lo + _BATCH, count)
         msgs = _message_batch(params, lo, hi)
         flat = (msgs @ enc_t - target) % params.p
-        dists = _batch_weights(params, flat)
+        dists = column_weights(flat.reshape(-1, params.s, params.r)).sum(axis=1)
         low = int(dists.min())
         if best_dist is None or low < best_dist:
             best_dist = low

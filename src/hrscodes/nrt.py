@@ -96,19 +96,18 @@ def column_weight(col, s: int | None = None) -> int:
         s = len(col)
     elif len(col) != s:
         raise ParameterError(f"column has length {len(col)}, expected {s}")
-    for idx, c in enumerate(col):
-        if c != 0:
-            return s - idx
-    return 0
+    return int(column_weights(np.array(col).reshape(s, 1))[0])
 
 
 def column_weights(entries: np.ndarray) -> np.ndarray:
-    """Vector of per-column NRT weights of a 2-D array (no field needed)."""
-    s = entries.shape[0]
-    nonzero = entries != 0
-    # argmax finds the first True per column; all-zero columns weigh 0.
-    top = np.argmax(nonzero, axis=0)
-    return np.where(nonzero.any(axis=0), s - top, 0)
+    """Per-column NRT weights of an (..., s, r) array (no field needed).
+
+    A batch of matrices gives one row of r weights per matrix.
+    """
+    s = entries.shape[-2]
+    # Row i of a column weighs s - i when nonzero; the top one is the largest.
+    rank = np.arange(s, 0, -1).reshape(s, 1)
+    return (rank * (entries != 0)).max(axis=-2, initial=0)
 
 
 def nrt_weight(a: NrtMatrix) -> int:

@@ -10,17 +10,6 @@ from .field import PrimeField
 NEG_INF = float("-inf")
 
 
-def _synth_div(coeffs, alpha, p):
-    """One synthetic division by (X - alpha): returns (quotient, remainder)."""
-    acc = 0
-    quot = [0] * (len(coeffs) - 1)
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = (acc * alpha + coeffs[k]) % p
-        quot[k - 1] = acc
-    rem = (acc * alpha + coeffs[0]) % p
-    return quot, rem
-
-
 class Poly:
     """A polynomial over a prime field, immutable."""
 
@@ -204,11 +193,13 @@ class Poly:
         coeffs = list(self.coeffs)
         out = []
         for _ in range(count):
-            if not coeffs:
-                out.append(0)
-                continue
-            coeffs, rem = _synth_div(coeffs, alpha, p)
-            out.append(rem)
+            # Synthetic division by (X - alpha): the remainder is the next
+            # Taylor coefficient and the quotient carries on.
+            acc = 0
+            for k in range(len(coeffs) - 1, -1, -1):
+                acc = (acc * alpha + coeffs[k]) % p
+                coeffs[k] = acc
+            out.append(coeffs.pop(0) if coeffs else 0)
         return out
 
     def vanishing_order(self, alpha: int, cap: int) -> int:
@@ -218,15 +209,5 @@ class Poly:
         """
         if cap < 0:
             raise ValueError("cap must be non-negative")
-        p = self.field.p
-        alpha = int(alpha) % p
-        coeffs = list(self.coeffs)
-        order = 0
-        while order < cap:
-            if not coeffs:
-                return cap
-            coeffs, rem = _synth_div(coeffs, alpha, p)
-            if rem != 0:
-                break
-            order += 1
-        return order
+        taylor = self.taylor(alpha, cap)
+        return next((k for k, c in enumerate(taylor) if c), cap)

@@ -178,6 +178,16 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["encode", "--job", job, "--param", "e=two"])
         assert code == 2 and "integer" in err
 
+    def test_multipliers_not_rows(self, tmp_path, capsys):
+        job = write_job(tmp_path, "j.json", poly=GOLDEN_MESSAGE, multipliers=[1, 2])
+        code, _, err = run(capsys, ["encode", "--job", job])
+        assert code == 2 and "'multipliers' must be a list of rows" in err
+
+    def test_budget_above_int64(self, tmp_path, capsys):
+        job = write_job(tmp_path, "j.json", budget=2**63)
+        code, _, err = run(capsys, ["mindist", "--job", job])
+        assert code == 2 and "2**63 - 1" in err
+
     def test_budget_exceeded(self, tmp_path, capsys):
         job = write_job(tmp_path, "j.json", budget=10)
         code, _, err = run(capsys, ["mindist", "--job", job])

@@ -91,6 +91,18 @@ class TestCodeParams:
         assert params.binomial_table(9, 2).tolist() == [
             [math.comb(k, j) % 7 for j in range(2)] for k in range(9)
         ]
+        # Derivative table: t + radius = 4 + 2 columns, the last two read
+        # only by the decoder; entries with k < i are zero.
+        for p in (7, 2**61 - 1):
+            code = CodeParams(p, 3, 3, 4, [0, 2, p - 1])
+            deriv = code.derivative_table()
+            assert deriv.shape == (3, 3, 6) and not deriv.flags.writeable
+            assert not deriv[1, :, :1].any() and not deriv[2, :, :2].any()
+            for k in range(6):
+                xk = Poly.monomial(code.field, k)
+                for i in range(3):
+                    for j, alpha in enumerate(code.alphas):
+                        assert deriv[i, j, k] == xk.hyperderivative(i).evaluate(alpha)
 
 
 class TestEncode:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hrscodes import (
@@ -11,6 +12,7 @@ from hrscodes import (
     nrt_distance,
     nrt_weight,
 )
+from hrscodes.nrt import column_weights
 from conftest import GOLDEN_ERROR
 
 
@@ -49,6 +51,17 @@ def test_weight_is_sum_of_column_weights(gf7):
         assert 0 <= nrt_weight(m) <= s * r
         nonzero_cols = sum(1 for j in range(r) if any(int(x) for x in m.entries[:, j]))
         assert nrt_weight(m) >= nonzero_cols
+
+
+def test_column_weights_batch(gf7):
+    rnd = random.Random(1)
+    batch = [
+        NrtMatrix(gf7, [[rnd.choice((0, 0, 0, 1, 6)) for _ in range(4)] for _ in range(3)])
+        for _ in range(60)
+    ]
+    weights = column_weights(np.stack([m.entries for m in batch]))
+    assert weights.shape == (60, 4)
+    assert weights.sum(axis=1).tolist() == [nrt_weight(m) for m in batch]
 
 
 def test_distance_examples(gf7):
