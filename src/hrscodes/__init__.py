@@ -35,6 +35,7 @@ from .errors import BudgetExceededError, FieldMismatchError, ParameterError
 from .field import MAX_MODULUS, PrimeField, is_prime
 from .hrs import (
     DEFAULT_BUDGET,
+    MAX_CODE_LENGTH,
     CodeParams,
     brute_force_min_distance,
     brute_force_nearest_codeword,
@@ -61,6 +62,7 @@ __all__ = [
     "FailureReason",
     "FieldMismatchError",
     "LinearSolution",
+    "MAX_CODE_LENGTH",
     "MAX_MODULUS",
     "NrtMatrix",
     "ParameterError",

@@ -1,14 +1,30 @@
 """Welch-Berlekamp unique decoding for HRS codes under the NRT metric.
 
 For a received s x r matrix y and an error bound e, the decoder looks for a
-monic locator E of degree exactly e and an N of degree at most e+t-1 tied
+locator E of degree at most e and an N of degree at most e+t-1 tied
 together by one linear constraint per matrix position:
 
     d^(l-1)N(alpha_i) = sum_{j=1..l} y_{j,i} * d^(l-j)E(alpha_i)
 
-(d^(k) is the order-k hyperderivative).  Any solution with E dividing N
-yields the message N/E; re-encoding and checking the NRT distance against y
-makes the procedure never return a wrong message.
+(d^(k) is the order-k hyperderivative, y with the multipliers divided out).
+By the Leibniz rule these rows say N = E*H (mod G), where H is the Hermite
+interpolant of y (deg H < rs) and G = prod_i (X - alpha_i)**s.  decode
+solves that key equation by a partial extended Euclid on (G, H) in
+O((rs)**2) field operations: it stops at the first remainder r_j of degree
+< e+t, and (N0, E0) = (r_j, t_j) scaled to make E0 monic, where t_j is the
+cofactor with r_j = t_j*H (mod G).  Since (e+t) + e <= rs, every pair
+(N, E) solving the constraints with deg N < e+t and deg E <= e is
+lambda*(N0, E0) for a polynomial lambda (von zur Gathen & Gerhard, Modern
+Computer Algebra, Lemma 5.15).  So:
+
+- the dense system with E monic of degree exactly e has no solution
+  (no_solution) iff deg E0 > e or deg N0 - deg E0 > t-1;
+- otherwise every solution has E dividing N iff E0 divides N0
+  (non_divisible when not), and the quotient N/E = N0/E0 is the same.
+
+Any quotient is re-encoded and its NRT distance to y checked, so decode
+never returns a wrong message.  build_wb_system keeps the dense rs x (2e+t)
+form of the same constraints as a reference for tests.
 """
 
 from dataclasses import dataclass
@@ -17,16 +33,16 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError
+from .field import PrimeField
 from .hrs import CodeParams, _check_received, decoding_radius, encode, hermite_interpolate
-from .linalg import solve
 from .nrt import NrtMatrix, nrt_distance
 from .poly import Poly
 
 
 class FailureReason(str, Enum):
-    # The linear system has no solution at all.
+    # The key equation has no solution with E monic of degree e.
     NO_SOLUTION = "no_solution"
-    # A solution exists but its locator does not divide its N.
+    # Solutions exist but their locator does not divide their N.
     NON_DIVISIBLE = "non_divisible"
     # N/E is a polynomial but its codeword is farther than e from y.
     DISTANCE_EXCEEDED = "distance_exceeded"
@@ -51,7 +67,8 @@ class DecodeFailure:
 
 @dataclass(frozen=True)
 class WbSystem:
-    """The rs x (2e+t) linear system behind one decoding attempt.
+    """The dense rs x (2e+t) linear form of the key equation for one error
+    bound: the reference that decode's Euclid solve is checked against.
 
     Column layout: columns 0..e+t-1 hold the coefficients a_0..a_{e+t-1} of
     N, columns e+t..2e+t-1 hold b_0..b_{e-1} of E.  The top coefficient
@@ -113,33 +130,73 @@ def build_wb_system(params: CodeParams, y: NrtMatrix, e: int) -> WbSystem:
     return WbSystem(matrix=matrix.reshape(s * r, 2 * e + t), rhs=rhs, e=e, t=t)
 
 
+def _trim(a: np.ndarray) -> np.ndarray:
+    """a without its zero top coefficients (the zero polynomial is empty)."""
+    end = len(a)
+    while end and not a[end - 1]:
+        end -= 1
+    return a[:end]
+
+
+def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
+    """Extended Euclid on (g, h), deg h < deg g, halted at the first
+    remainder r_j of degree < stop: returns (r_j, t_j) with
+    r_j = t_j * h (mod g), as trimmed coefficient arrays, low degree first.
+
+    One step subtracts c * X**shift times the current divisor, so the
+    quotients are never formed; the cofactors follow the same steps.
+    """
+    p, size = field.p, len(g)
+    r0, r1 = g.copy(), _trim(h)
+    t0 = np.zeros(size, dtype=g.dtype)
+    t1 = np.zeros(size, dtype=g.dtype)
+    t1[0] = 1
+    while len(r1) > stop:
+        inv_lead = field.inv(int(r1[-1]))
+        while len(r0) >= len(r1):
+            shift = len(r0) - len(r1)
+            c = int(r0[-1]) * inv_lead % p
+            r0[shift:] = (r0[shift:] - c * r1) % p
+            t0[shift:] = (t0[shift:] - c * t1[: size - shift]) % p
+            r0 = _trim(r0)
+        r0, r1, t0, t1 = r1, r0, t1, t0
+    return r1, _trim(t1)
+
+
 def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
-    """Run the full pipeline: solve, divide, re-encode, verify.
+    """Run the full pipeline: interpolate, solve the key equation, divide,
+    re-encode, verify.
 
     Returns DecodeSuccess or DecodeFailure; received words beyond the error
     bound are an expected condition, never an exception.  Whenever y is
     within NRT distance e of a codeword of the code, that codeword's
-    message is returned.
+    message is returned.  On success the locator is monic of degree exactly
+    e and the evaluator is locator * message.
     """
     _check_received(params, y)
     if e is None:
         e = decoding_radius(params)
-    system = build_wb_system(params, _unscaled(params, y), e)
-    sol = solve(params.field, system.matrix, system.rhs, nullspace=False)
-    if sol is None:
+    _check_bound(params, e)
+    field, t = params.field, params.t
+    h = hermite_interpolate(params, _unscaled(params, y))
+    g = params._interpolation_tables()[0]
+    rem, cof = _partial_euclid(field, g, np.array(h.coeffs, dtype=g.dtype), e + t)
+    scale = field.inv(int(cof[-1]))
+    n_poly = Poly(field, (rem * scale).tolist())
+    e_poly = Poly(field, (cof * scale).tolist())
+    if e_poly.degree > e or n_poly.degree - e_poly.degree > t - 1:
         return DecodeFailure(FailureReason.NO_SOLUTION)
-    n_poly, e_poly = system.split(params.field, sol.particular)
-    assert e_poly.degree == e
     quotient, remainder = divmod(n_poly, e_poly)
     if not remainder.is_zero:
         return DecodeFailure(FailureReason.NON_DIVISIBLE)
-    if quotient.degree > params.t - 1:
+    if quotient.degree > t - 1:
         return DecodeFailure(FailureReason.DISTANCE_EXCEEDED)
     weight = nrt_distance(encode(params, quotient), y)
     if weight > e:
         return DecodeFailure(FailureReason.DISTANCE_EXCEEDED)
+    pad = Poly.monomial(field, e - e_poly.degree)
     return DecodeSuccess(
-        message=quotient, error_weight=weight, locator=e_poly, evaluator=n_poly
+        message=quotient, error_weight=weight, locator=pad * e_poly, evaluator=pad * n_poly
     )
 
 

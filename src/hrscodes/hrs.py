@@ -5,12 +5,22 @@ polynomials of degree < t, and the codeword of f is the s x r matrix with
 entry (i, j) = v_{i,j} * (order-(i-1) hyperderivative of f)(alpha_j).
 
 The entries C(k, i) * alpha_j**(k-i) live in one cached table
-(CodeParams.derivative_table), shared by the encoder and the decoder's key
-equation.  Besides the encoder this module provides Hermite interpolation
-(the inverse of the all-ones encoder on full-length messages), the
-root-multiplicity weight formula, and exhaustive-search oracles used to
+(CodeParams.derivative_table), shared by the encoder and the dense
+key-equation system.  Besides the encoder this module provides Hermite
+interpolation (the inverse of the all-ones encoder on full-length messages),
+the root-multiplicity weight formula, and exhaustive-search oracles used to
 cross-check the fast decoder on small codes; their budget may not pass
 2**63 - 1, since messages are numbered in int64.
+
+Hermite interpolation is one product with a cached basis: entry (i, j) of
+the basis is the polynomial of degree < rs whose only nonzero
+hyperderivative of order < s at the points is order i at alpha_j.  It
+equals Q_j * (Z**i / Q_j(alpha_j + Z) mod Z**s) with Z = X - alpha_j and
+Q_j = G / Z**s, where G = prod_j (X - alpha_j)**s; G is cached beside it
+and is the modulus of the decoder's key equation.  The basis is built once
+per code on int64 or object coefficient arrays (a product tree for G, a
+long division for each Q_j, Taylor series and their inverses), so an
+interpolation costs O((rs)**2) field operations.
 """
 
 import numpy as np
@@ -29,6 +39,13 @@ _BATCH = 1 << 15
 # The scans number messages in int64, so p**t may not pass 2**63 - 1.
 _MAX_BUDGET = (1 << 63) - 1
 
+# Largest code length r*s.  The biggest cached tables (the Hermite basis,
+# and the derivative table of width t + radius <= rs) hold up to (rs)**2
+# entries: at 2048 that is 4,194,304 entries, 32 MiB on the int64 path and
+# about 160 MiB on the object path (an 8-byte pointer plus a 32-byte int per
+# entry), while a code past it could ask for tens of GB.
+MAX_CODE_LENGTH = 2048
+
 
 class CodeParams:
     """Validated parameters of one HRS code, with cached lookup tables."""
@@ -42,6 +59,10 @@ class CodeParams:
             raise ParameterError(f"s must satisfy 1 <= s <= p, got s={s}, p={field.p}")
         if not 1 <= r <= field.p:
             raise ParameterError(f"r must satisfy 1 <= r <= p, got r={r}, p={field.p}")
+        if r * s > MAX_CODE_LENGTH:
+            raise ParameterError(
+                f"code length r*s = {r * s} exceeds the limit {MAX_CODE_LENGTH}"
+            )
         if not 1 <= t <= r * s:
             raise ParameterError(f"t must satisfy 1 <= t <= r*s, got t={t}, r*s={r * s}")
         alphas = tuple(int(a) % field.p for a in alphas)
@@ -74,6 +95,7 @@ class CodeParams:
         self._deriv = None
         self._enc = None
         self._vinv = None
+        self._interp = None
 
     @property
     def p(self) -> int:
@@ -160,6 +182,67 @@ class CodeParams:
             self._enc = enc
         return self._enc
 
+    def _interpolation_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, basis): G is prod_j (X - alpha_j)**s as rs + 1 coefficients,
+        basis has shape (s, r, rs) with basis[i, j] the coefficients of the
+        polynomial of degree < rs whose order-i hyperderivative at alpha_j is
+        1 and whose other hyperderivatives of order < s at every point are 0.
+        """
+        if self._interp is None:
+            p, r, s = self.p, self.r, self.s
+            n = r * s
+            alpha = self._alpha_vec[:, np.newaxis]
+            lin = np.concatenate([-alpha % p, np.ones_like(alpha)], axis=1)
+            local = np.ones((r, 1), dtype=self.field.dtype)  # (X - alpha_j)**s
+            for _ in range(s):
+                local = _poly_mul(local, lin, p)
+            g = local
+            while len(g) > 1:
+                if len(g) % 2:
+                    g = np.concatenate([g, np.eye(1, g.shape[1], dtype=g.dtype)])
+                g = _poly_mul(g[0::2], g[1::2], p)
+            g = g[0, : n + 1]
+
+            # Q_j = G / (X - alpha_j)**s by long division, top coefficient
+            # first, and its Taylor coefficients at alpha_j.
+            m = n - s + 1
+            rem = np.tile(g, (r, 1))
+            quot = np.empty((r, m), dtype=g.dtype)
+            low = local[:, :s]
+            for k in range(m - 1, -1, -1):
+                quot[:, k] = rem[:, k + s]
+                rem[:, k : k + s] = (rem[:, k : k + s] - quot[:, k : k + 1] * low) % p
+            pow_tab, binom = self.power_table(m), self.binomial_table(m, s)
+            taylor = np.zeros((r, s), dtype=g.dtype)
+            for i in range(min(s, m)):
+                terms = quot[:, i:] * pow_tab[:, : m - i] % p * binom[i:, i] % p
+                taylor[:, i] = terms.sum(axis=1) % p
+
+            # inv = 1 / Q_j(alpha_j + Z) mod Z**s, expanded back into powers
+            # of X as poly = inv(X - alpha_j).
+            inv = np.zeros((r, s), dtype=g.dtype)
+            inv[:, 0] = [self.field.inv(int(c)) for c in taylor[:, 0]]
+            for k in range(1, s):
+                acc = (taylor[:, 1 : k + 1] * inv[:, k - 1 :: -1] % p).sum(axis=1) % p
+                inv[:, k] = -acc * inv[:, 0] % p
+            poly = np.zeros((r, s), dtype=g.dtype)
+            for k in range(s - 1, -1, -1):
+                poly = (_shift(poly) - poly * alpha % p) % p
+                poly[:, 0] = (poly[:, 0] + inv[:, k]) % p
+
+            # Order 0 is Q_j * poly; order i+1 is (X - alpha_j) times order
+            # i, minus the multiple of G that brings the degree back below rs.
+            basis = np.empty((s, r, n), dtype=g.dtype)
+            basis[0] = _poly_mul(poly, quot, p)
+            for i in range(1, s):
+                prev = basis[i - 1]
+                top = prev[:, n - 1 : n]
+                basis[i] = (_shift(prev) - prev * alpha % p - top * g[:n] % p) % p
+            g.flags.writeable = False
+            basis.flags.writeable = False
+            self._interp = (g, basis)
+        return self._interp
+
     def inverse_multipliers(self) -> np.ndarray:
         """Entrywise inverses of the multiplier matrix."""
         if self._vinv is None:
@@ -206,59 +289,43 @@ def _check_received(params: CodeParams, y: NrtMatrix) -> None:
         )
 
 
-def _poly_from_taylor(field: PrimeField, alpha: int, coeffs) -> Poly:
-    """Expand sum of coeffs[j] * (X - alpha)**j into monomial form."""
-    lin = Poly(field, (-alpha % field.p, 1))
-    out = Poly.zero(field)
-    for c in reversed(list(coeffs)):
-        out = out * lin + Poly(field, (c,))
+def _shift(a: np.ndarray) -> np.ndarray:
+    """Rows of a multiplied by X, dropping the top coefficient."""
+    out = np.zeros_like(a)
+    out[:, 1:] = a[:, :-1]
     return out
 
 
-def _series_inverse(field: PrimeField, m, count: int) -> list[int]:
-    """First `count` coefficients of 1/m as a power series; m[0] nonzero."""
-    p = field.p
-    lead = field.inv(int(m[0]))
-    inv = [lead] + [0] * (count - 1)
-    for k in range(1, count):
-        acc = 0
-        for j in range(1, k + 1):
-            acc += m[j] * inv[k - j]
-        inv[k] = -lead * acc % p
-    return inv
+def _poly_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise products of two stacks of polynomials (coefficient rows,
+    low degree first) over GF(p).
+
+    The outer product of each pair is reduced, then row i is skewed i places
+    to the right by padding and reshaping, so one sum over rows gives the
+    convolution.  Entries stay below p * min(len) < 2**63 on the int64 path.
+    """
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    rows, la, lb = a.shape[0], a.shape[1], b.shape[1]
+    outer = a[:, :, np.newaxis] * b[:, np.newaxis, :] % p
+    padded = np.concatenate([outer, np.zeros((rows, la, la), dtype=outer.dtype)], axis=2)
+    width = la + lb - 1
+    skewed = padded.reshape(rows, -1)[:, : la * width].reshape(rows, la, width)
+    return skewed.sum(axis=1) % p
 
 
 def hermite_interpolate(params: CodeParams, y: NrtMatrix) -> Poly:
     """The unique H with deg H < rs whose order-(i-1) hyperderivative at
     alpha_j equals y_{i,j} for all i, j.
 
-    Built point by point: the residue of H modulo (X - alpha_j)**s is the
-    Taylor polynomial read off column j, and the moduli are pairwise coprime,
-    so each step patches H with a multiple of the product of the previous
-    moduli.  Multipliers play no role here; y holds raw derivative values.
+    H is the sum of y_{i,j} times the cached basis polynomial for (i, j).
+    Multipliers play no role here; y holds raw derivative values.
     """
     _check_received(params, y)
-    field, p, s = params.field, params.p, params.s
-    h = Poly.zero(field)
-    modulus = Poly.one(field)
-    for j, alpha in enumerate(params.alphas):
-        target = [int(v) for v in y.entries[:, j]]
-        residue = h.taylor(alpha, s)
-        delta = [(a - b) % p for a, b in zip(target, residue)]
-        if any(delta):
-            m_local = modulus.taylor(alpha, s)
-            m_inv = _series_inverse(field, m_local, s)
-            patch = [0] * s
-            for k in range(s):
-                acc = 0
-                for i in range(k + 1):
-                    acc += delta[i] * m_inv[k - i]
-                patch[k] = acc % p
-            h = h + modulus * _poly_from_taylor(field, alpha, patch)
-        step = Poly(field, (-alpha % p, 1))
-        for _ in range(s):
-            modulus = modulus * step
-    return h
+    p = params.p
+    basis = params._interpolation_tables()[1]
+    h = (y.entries[:, :, np.newaxis] * basis % p).sum(axis=(0, 1)) % p
+    return Poly(params.field, h.tolist())
 
 
 def codeword_weight_formula(params: CodeParams, f: Poly) -> int:
@@ -272,6 +339,8 @@ def codeword_weight_formula(params: CodeParams, f: Poly) -> int:
 
 
 def _check_budget(params: CodeParams, budget: int) -> int:
+    if budget < 0:
+        raise ParameterError(f"budget must be non-negative, got {budget}")
     if budget > _MAX_BUDGET:
         raise ParameterError(f"budget {budget} exceeds the int64 limit 2**63 - 1")
     count = params.p**params.t

@@ -188,6 +188,24 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["mindist", "--job", job])
         assert code == 2 and "2**63 - 1" in err
 
+    def test_negative_budget(self, tmp_path, capsys):
+        job = write_job(tmp_path, "j.json")
+        code, _, err = run(capsys, ["mindist", "--job", job, "--param", "budget=-1"])
+        assert code == 2 and "budget must be non-negative, got -1" in err
+
+    def test_code_length_limit(self, tmp_path, capsys):
+        # rs = 2053 is one prime past the limit; the job is refused before
+        # any table is built.
+        path = tmp_path / "j.json"
+        path.write_text(
+            json.dumps(
+                {"p": 2053, "r": 2053, "s": 1, "t": 1, "alphas": list(range(2053)), "poly": [1]}
+            )
+        )
+        code, _, err = run(capsys, ["encode", "--job", str(path)])
+        assert code == 2
+        assert "code length r*s = 2053 exceeds the limit 2048" in err
+
     def test_budget_exceeded(self, tmp_path, capsys):
         job = write_job(tmp_path, "j.json", budget=10)
         code, _, err = run(capsys, ["mindist", "--job", job])

@@ -68,6 +68,49 @@ def classical_wb_decode(params, y, e):
     return q
 
 
+def dense_decode(params, y, e):
+    """Reference decoder on the dense key-equation system: one solution of
+    build_wb_system, then divide, re-encode and check the distance.
+    Returns (failure reason or None, message, error weight)."""
+    raw = NrtMatrix(params.field, y.entries * params.inverse_multipliers() % params.p)
+    system = build_wb_system(params, raw, e)
+    sol = solve(params.field, system.matrix, system.rhs, nullspace=False)
+    if sol is None:
+        return FailureReason.NO_SOLUTION, None, None
+    n_poly, e_poly = system.split(params.field, sol.particular)
+    quotient, remainder = divmod(n_poly, e_poly)
+    if not remainder.is_zero:
+        return FailureReason.NON_DIVISIBLE, None, None
+    if quotient.degree > params.t - 1:
+        return FailureReason.DISTANCE_EXCEEDED, None, None
+    weight = nrt_distance(encode(params, quotient), y)
+    if weight > e:
+        return FailureReason.DISTANCE_EXCEEDED, None, None
+    return None, quotient, weight
+
+
+def differential_codes(rnd):
+    """Small codes over every field path: alpha = 0 in half of them, random
+    multipliers in another half, t = rs in every fourth, and s = p, r = p
+    for p in {2, 3}."""
+    shapes = [(p, r, s) for p in (2, 3) for r, s in ((p, p), (p, 1), (1, p))]
+    for p in (2, 3, 5, 7, 13, 101, 2**31 - 1, 2**61 - 1):
+        for _ in range(15):
+            s = rnd.randint(1, min(p, 3))
+            shapes.append((p, rnd.randint(1, min(p, 16 // s)), s))
+    for index, (p, r, s) in enumerate(shapes):
+        t = r * s if index % 4 == 0 else rnd.randint(1, r * s)
+        pool = range(min(p, 10**6))
+        if index % 2:
+            alphas = rnd.sample(pool, r)
+        else:
+            alphas = [0] + rnd.sample(pool[1:], r - 1)
+        multipliers = None
+        if index % 4 in (1, 2):
+            multipliers = [[rnd.randrange(1, p) for _ in range(r)] for _ in range(s)]
+        yield CodeParams(p, r, s, t, alphas, multipliers)
+
+
 def test_decoding_radius():
     assert decoding_radius(CodeParams(7, 4, 2, 4, [1, 2, 3, 4])) == 2
     assert decoding_radius(CodeParams(3, 2, 2, 4, [0, 1])) == 0
@@ -214,6 +257,41 @@ class TestDecode:
         a = decode(golden_params, golden_received)
         b = decode(golden_params, golden_received)
         assert a == b
+
+
+class TestEuclidAgainstDenseSystem:
+    def test_matches_dense_reference(self):
+        rnd = random.Random(25)
+        seen = set()
+        for params in differential_codes(rnd):
+            p, n = params.p, params.r * params.s
+            radius = decoding_radius(params)
+            for e in range(radius + 1):
+                beyond = rnd.randint(radius + 1, n) if radius < n else n
+                for weight in (rnd.randint(0, e), beyond, None):
+                    if weight is None:
+                        rows = [[rnd.randrange(p) for _ in range(params.r)] for _ in range(params.s)]
+                        y = NrtMatrix(params.field, rows)
+                    else:
+                        f = random_poly(rnd, params.field, params.t)
+                        spec = ChannelSpec(
+                            p=p, s=params.s, r=params.r, weight=weight, seed=rnd.getrandbits(32)
+                        )
+                        y = encode(params, f) + sample_error(spec)
+                    out = decode(params, y, e)
+                    reason, message, error_weight = dense_decode(params, y, e)
+                    case = (p, params.r, params.s, params.t, params.alphas, e, y.to_lists())
+                    if reason is None:
+                        assert isinstance(out, DecodeSuccess), case
+                        assert out.message == message, case
+                        assert out.error_weight == error_weight, case
+                        assert out.locator.degree == e and out.locator.coeffs[-1] == 1, case
+                        assert out.evaluator == out.locator * out.message, case
+                        seen.add("ok")
+                    else:
+                        assert out == DecodeFailure(reason), case
+                        seen.add(reason)
+        assert seen == {"ok", FailureReason.NO_SOLUTION, FailureReason.NON_DIVISIBLE}
 
 
 class TestRatioInvariance:
