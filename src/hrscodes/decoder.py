@@ -20,7 +20,8 @@ Computer Algebra, Lemma 5.15).  So:
 - the dense system with E monic of degree exactly e has no solution
   (no_solution) iff deg E0 > e or deg N0 - deg E0 > t-1;
 - otherwise every solution has E dividing N iff E0 divides N0
-  (non_divisible when not), and the quotient N/E = N0/E0 is the same.
+  (non_divisible when not), and the quotient N/E = N0/E0 is the same;
+  its degree is deg N0 - deg E0 <= t-1, so it is a message of the code.
 
 Any quotient is re-encoded and its NRT distance to y checked, so decode
 never returns a wrong message.  build_wb_system keeps the dense rs x (2e+t)
@@ -36,7 +37,7 @@ from .errors import ParameterError
 from .field import PrimeField
 from .hrs import CodeParams, _check_received, decoding_radius, encode, hermite_interpolate
 from .nrt import NrtMatrix, nrt_distance
-from .poly import Poly
+from .poly import Poly, _divmod, _trim
 
 
 class FailureReason(str, Enum):
@@ -130,37 +131,25 @@ def build_wb_system(params: CodeParams, y: NrtMatrix, e: int) -> WbSystem:
     return WbSystem(matrix=matrix.reshape(s * r, 2 * e + t), rhs=rhs, e=e, t=t)
 
 
-def _trim(a: np.ndarray) -> np.ndarray:
-    """a without its zero top coefficients (the zero polynomial is empty)."""
-    end = len(a)
-    while end and not a[end - 1]:
-        end -= 1
-    return a[:end]
-
-
 def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
     """Extended Euclid on (g, h), deg h < deg g, halted at the first
     remainder r_j of degree < stop: returns (r_j, t_j) with
     r_j = t_j * h (mod g), as trimmed coefficient arrays, low degree first.
 
-    One step subtracts c * X**shift times the current divisor, so the
-    quotients are never formed; the cofactors follow the same steps.
+    Each remainder carries its cofactor below it as w_i = t_i + X**m * r_i
+    with m = len(g).  Since deg t_{i+1} = deg g - deg r_i < m, the remainder
+    of w_{i-1} divided by w_i (made monic, which keeps the remainder) is
+    w_{i+1} = w_{i-1} - q_i * w_i, where q_i is the quotient of r_{i-1} by
+    r_i: one division updates both.
     """
-    p, size = field.p, len(g)
-    r0, r1 = g.copy(), _trim(h)
-    t0 = np.zeros(size, dtype=g.dtype)
-    t1 = np.zeros(size, dtype=g.dtype)
-    t1[0] = 1
-    while len(r1) > stop:
-        inv_lead = field.inv(int(r1[-1]))
-        while len(r0) >= len(r1):
-            shift = len(r0) - len(r1)
-            c = int(r0[-1]) * inv_lead % p
-            r0[shift:] = (r0[shift:] - c * r1) % p
-            t0[shift:] = (t0[shift:] - c * t1[: size - shift]) % p
-            r0 = _trim(r0)
-        r0, r1, t0, t1 = r1, r0, t1, t0
-    return r1, _trim(t1)
+    p, m = field.p, len(g)
+    w0 = np.concatenate([np.zeros(m, dtype=g.dtype), g])
+    w1 = np.concatenate([np.eye(1, m, dtype=g.dtype)[0], _trim(h)])
+    while len(w1) - m > stop:
+        inv_lead = field.inv(int(w1[-1]))
+        w = _divmod(w0, w1 * inv_lead % p, p)[1]
+        w0, w1 = w1, w[: m + len(_trim(w[m:]))]
+    return w1[m:], _trim(w1[:m])
 
 
 def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
@@ -189,14 +178,15 @@ def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
     quotient, remainder = divmod(n_poly, e_poly)
     if not remainder.is_zero:
         return DecodeFailure(FailureReason.NON_DIVISIBLE)
-    if quotient.degree > t - 1:
-        return DecodeFailure(FailureReason.DISTANCE_EXCEEDED)
     weight = nrt_distance(encode(params, quotient), y)
     if weight > e:
         return DecodeFailure(FailureReason.DISTANCE_EXCEEDED)
-    pad = Poly.monomial(field, e - e_poly.degree)
+    pad = (0,) * (e - e_poly.degree)
     return DecodeSuccess(
-        message=quotient, error_weight=weight, locator=pad * e_poly, evaluator=pad * n_poly
+        message=quotient,
+        error_weight=weight,
+        locator=Poly(field, pad + e_poly.coeffs),
+        evaluator=Poly(field, pad + n_poly.coeffs),
     )
 
 

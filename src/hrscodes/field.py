@@ -50,16 +50,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 class PrimeField:
     """The field GF(p) for a prime modulus p, 2 <= p < 2**61."""
 
@@ -107,13 +97,11 @@ class PrimeField:
         return int(x) % self.p
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by extended Euclid; a must be nonzero."""
+        """Multiplicative inverse; a must be nonzero."""
         a %= self.p
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        g, x, _ = _xgcd(a, self.p)
-        assert g == 1
-        return x % self.p
+        return pow(a, -1, self.p)
 
     def binomial(self, i: int, j: int) -> int:
         """C(i, j) mod p by Lucas' theorem, with C(i, j) = 0 for j > i or j < 0.

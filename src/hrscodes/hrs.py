@@ -18,8 +18,9 @@ hyperderivative of order < s at the points is order i at alpha_j.  It
 equals Q_j * (Z**i / Q_j(alpha_j + Z) mod Z**s) with Z = X - alpha_j and
 Q_j = G / Z**s, where G = prod_j (X - alpha_j)**s; G is cached beside it
 and is the modulus of the decoder's key equation.  The basis is built once
-per code on int64 or object coefficient arrays (a product tree for G, a
-long division for each Q_j, Taylor series and their inverses), so an
+per code with the array kernel of the poly module (poly._mul for the
+product tree of G, the Horner steps and the basis recurrence, poly._divmod
+for every Q_j at once, then Taylor series and their inverses), so an
 interpolation costs O((rs)**2) field operations.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import BudgetExceededError, ParameterError
 from .field import PrimeField
 from .nrt import NrtMatrix, column_weights
-from .poly import Poly
+from .poly import Poly, _divmod, _mul
 
 # Cap on p**t for the exhaustive-search oracles.
 DEFAULT_BUDGET = 10**6
@@ -121,9 +122,10 @@ class CodeParams:
     # -- cached tables --------------------------------------------------------
 
     def power_table(self, count: int) -> np.ndarray:
-        """Array of shape (r, count) with entry (j, k) = alpha_j ** k."""
+        """Array of shape (r, count) with entry (j, k) = alpha_j ** k; at least
+        r*s columns are built, enough for every table of the code."""
         if self._pow is None or self._pow.shape[1] < count:
-            n = max(count, 1)
+            n = max(count, self.r * self.s)
             tab = np.ones((self.r, n), dtype=self.field.dtype)
             for k in range(1, n):
                 tab[:, k] = tab[:, k - 1] * self._alpha_vec % self.p
@@ -132,10 +134,11 @@ class CodeParams:
         return self._pow[:, :count]
 
     def binomial_table(self, kmax: int, jmax: int) -> np.ndarray:
-        """Array of shape (kmax, jmax) with entry (k, j) = C(k, j) mod p."""
+        """Array of shape (kmax, jmax) with entry (k, j) = C(k, j) mod p; at
+        least (r*s, s) is built, enough for every table of the code."""
         cached = self._binom
         if cached is None or cached.shape[0] < kmax or cached.shape[1] < jmax:
-            n, m = max(kmax, 1), max(jmax, 1)
+            n, m = max(kmax, self.r * self.s), max(jmax, self.s)
             if cached is not None:
                 n, m = max(n, cached.shape[0]), max(m, cached.shape[1])
             tab = np.zeros((n, m), dtype=self.field.dtype)
@@ -191,27 +194,21 @@ class CodeParams:
         if self._interp is None:
             p, r, s = self.p, self.r, self.s
             n = r * s
-            alpha = self._alpha_vec[:, np.newaxis]
-            lin = np.concatenate([-alpha % p, np.ones_like(alpha)], axis=1)
+            lin = np.stack([-self._alpha_vec % p, np.ones_like(self._alpha_vec)], axis=1)
             local = np.ones((r, 1), dtype=self.field.dtype)  # (X - alpha_j)**s
             for _ in range(s):
-                local = _poly_mul(local, lin, p)
+                local = _mul(local, lin, p)
             g = local
             while len(g) > 1:
                 if len(g) % 2:
                     g = np.concatenate([g, np.eye(1, g.shape[1], dtype=g.dtype)])
-                g = _poly_mul(g[0::2], g[1::2], p)
+                g = _mul(g[0::2], g[1::2], p)
             g = g[0, : n + 1]
 
-            # Q_j = G / (X - alpha_j)**s by long division, top coefficient
-            # first, and its Taylor coefficients at alpha_j.
+            # Q_j = G / (X - alpha_j)**s, all j in one division, and its
+            # Taylor coefficients at alpha_j.
             m = n - s + 1
-            rem = np.tile(g, (r, 1))
-            quot = np.empty((r, m), dtype=g.dtype)
-            low = local[:, :s]
-            for k in range(m - 1, -1, -1):
-                quot[:, k] = rem[:, k + s]
-                rem[:, k : k + s] = (rem[:, k : k + s] - quot[:, k : k + 1] * low) % p
+            quot = _divmod(np.tile(g, (r, 1)), local, p)[0]
             pow_tab, binom = self.power_table(m), self.binomial_table(m, s)
             taylor = np.zeros((r, s), dtype=g.dtype)
             for i in range(min(s, m)):
@@ -227,17 +224,17 @@ class CodeParams:
                 inv[:, k] = -acc * inv[:, 0] % p
             poly = np.zeros((r, s), dtype=g.dtype)
             for k in range(s - 1, -1, -1):
-                poly = (_shift(poly) - poly * alpha % p) % p
+                poly = _mul(poly, lin, p)[:, :s]
                 poly[:, 0] = (poly[:, 0] + inv[:, k]) % p
 
             # Order 0 is Q_j * poly; order i+1 is (X - alpha_j) times order
-            # i, minus the multiple of G that brings the degree back below rs.
+            # i, minus the multiple of the monic G that cancels its X**rs term.
             basis = np.empty((s, r, n), dtype=g.dtype)
-            basis[0] = _poly_mul(poly, quot, p)
+            basis[0] = _mul(poly, quot, p)
             for i in range(1, s):
                 prev = basis[i - 1]
                 top = prev[:, n - 1 : n]
-                basis[i] = (_shift(prev) - prev * alpha % p - top * g[:n] % p) % p
+                basis[i] = (_mul(prev, lin, p) - top * g % p)[:, :n] % p
             g.flags.writeable = False
             basis.flags.writeable = False
             self._interp = (g, basis)
@@ -272,8 +269,7 @@ def encode(params: CodeParams, f: Poly) -> NrtMatrix:
     """Evaluate f and its first s-1 hyperderivatives at every alpha."""
     _check_message(params, f)
     coeffs = np.zeros(params.t, dtype=params.field.dtype)
-    for k, c in enumerate(f.coeffs):
-        coeffs[k] = c
+    coeffs[: len(f.coeffs)] = f.coeffs
     enc = params.encoding_matrix()
     flat = ((enc * coeffs[np.newaxis, :]) % params.p).sum(axis=1) % params.p
     return NrtMatrix(params.field, flat.reshape(params.s, params.r))
@@ -287,31 +283,6 @@ def _check_received(params: CodeParams, y: NrtMatrix) -> None:
         raise ParameterError(
             f"matrix shape {y.shape} does not match code shape {(params.s, params.r)}"
         )
-
-
-def _shift(a: np.ndarray) -> np.ndarray:
-    """Rows of a multiplied by X, dropping the top coefficient."""
-    out = np.zeros_like(a)
-    out[:, 1:] = a[:, :-1]
-    return out
-
-
-def _poly_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise products of two stacks of polynomials (coefficient rows,
-    low degree first) over GF(p).
-
-    The outer product of each pair is reduced, then row i is skewed i places
-    to the right by padding and reshaping, so one sum over rows gives the
-    convolution.  Entries stay below p * min(len) < 2**63 on the int64 path.
-    """
-    if a.shape[1] > b.shape[1]:
-        a, b = b, a
-    rows, la, lb = a.shape[0], a.shape[1], b.shape[1]
-    outer = a[:, :, np.newaxis] * b[:, np.newaxis, :] % p
-    padded = np.concatenate([outer, np.zeros((rows, la, la), dtype=outer.dtype)], axis=2)
-    width = la + lb - 1
-    skewed = padded.reshape(rows, -1)[:, : la * width].reshape(rows, la, width)
-    return skewed.sum(axis=1) % p
 
 
 def hermite_interpolate(params: CodeParams, y: NrtMatrix) -> Poly:

@@ -3,7 +3,13 @@
 Coefficients are stored low degree first, normalized so the top coefficient
 is nonzero; the zero polynomial has an empty coefficient tuple and degree
 ``-inf``.  All operations are pure and return new instances.
+
+Poly is the immutable public wrapper over the array kernel at the bottom of
+this module (_mul, _divmod and _trim on int64 or object coefficient arrays),
+which the Hermite tables and the Euclid decoder also call directly.
 """
+
+import numpy as np
 
 from .field import PrimeField
 
@@ -113,15 +119,10 @@ class Poly:
         self._check(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
-        p = self.field.p
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-        return Poly(self.field, out)
+        dtype = self.field.dtype
+        a = np.array([self.coeffs], dtype=dtype)
+        b = np.array([other.coeffs], dtype=dtype)
+        return Poly(self.field, _mul(a, b, self.field.p)[0].tolist())
 
     def scale(self, c: int):
         """Multiply every coefficient by the scalar c."""
@@ -134,21 +135,12 @@ class Poly:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero polynomial")
-        if self.degree < other.degree:
-            return Poly.zero(self.field), self
-        p = self.field.p
-        inv_lead = self.field.inv(other.coeffs[-1])
-        rem = list(self.coeffs)
-        dd = len(other.coeffs) - 1
-        quot = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k] * inv_lead % p
-            if c == 0:
-                continue
-            quot[k - dd] = c
-            for j, dj in enumerate(other.coeffs):
-                rem[k - dd + j] = (rem[k - dd + j] - c * dj) % p
-        return Poly(self.field, quot), Poly(self.field, rem)
+        field, p = self.field, self.field.p
+        inv_lead = field.inv(other.coeffs[-1])
+        a = np.array(self.coeffs, dtype=field.dtype)
+        b = np.array(other.coeffs, dtype=field.dtype) * inv_lead % p
+        quot, rem = _divmod(a, b, p)
+        return Poly(field, (quot * inv_lead % p).tolist()), Poly(field, rem.tolist())
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -211,3 +203,50 @@ class Poly:
             raise ValueError("cap must be non-negative")
         taylor = self.taylor(alpha, cap)
         return next((k for k, c in enumerate(taylor) if c), cap)
+
+
+# -- array kernel: coefficients low degree first, entries in [0, p) ------------
+
+
+def _trim(a: np.ndarray) -> np.ndarray:
+    """a without its zero top coefficients (the zero polynomial is empty)."""
+    end = len(a)
+    while end and not a[end - 1]:
+        end -= 1
+    return a[:end]
+
+
+def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise products of two stacks of polynomials (coefficient rows,
+    low degree first) over GF(p).
+
+    The outer product of each pair is reduced, then row i is skewed i places
+    to the right by padding and reshaping, so one sum over rows gives the
+    convolution.  Entries stay below p * min(len) < 2**63 on the int64 path.
+    """
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    rows, la, lb = a.shape[0], a.shape[1], b.shape[1]
+    outer = a[:, :, np.newaxis] * b[:, np.newaxis, :] % p
+    padded = np.concatenate([outer, np.zeros((rows, la, la), dtype=outer.dtype)], axis=2)
+    width = la + lb - 1
+    skewed = padded.reshape(rows, -1)[:, : la * width].reshape(rows, la, width)
+    return skewed.sum(axis=1) % p
+
+
+def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Division by monic divisors over GF(p) along the last axis, any rank:
+    (q, r) with a = q*b + r and r one coefficient shorter than b, untrimmed.
+
+    Each step leaves the top coefficient of the remainder in place as the
+    next quotient coefficient and reduces the ones below it; no intermediate
+    passes p**2 < 2**62 in size on the int64 path.
+    """
+    deg = b.shape[-1] - 1
+    low = b[..., :deg]
+    rem = a.copy()
+    for k in range(a.shape[-1] - deg - 1, -1, -1):
+        below = rem[..., k : k + deg]
+        below -= rem[..., k + deg : k + deg + 1] * low
+        below %= p
+    return rem[..., deg:], rem[..., :deg]

@@ -51,32 +51,47 @@ def test_field_mismatch(gf7):
         Poly(gf7, [1]) + 3
 
 
-def test_ring_ops_against_naive(gf7):
+# GF(7), GF(2) and the exact object-array path above 2**31 - 1.
+KERNEL_MODULI = (7, 2, 2**61 - 1)
+
+
+def random_coeffs(rnd, p, length):
+    """Coefficients with many zeros, including zero top coefficients."""
+    return [rnd.choice([0, 1, p - 1, rnd.randrange(p)]) for _ in range(length)]
+
+
+def test_ring_ops_against_naive():
     rnd = random.Random(0)
-    p = 7
-    for _ in range(300):
-        a = [rnd.randrange(p) for _ in range(rnd.randint(0, 8))]
-        b = [rnd.randrange(p) for _ in range(rnd.randint(0, 8))]
-        fa, fb = Poly(gf7, a), Poly(gf7, b)
-        add = [(x + y) % p for x, y in zip(a + [0] * len(b), b + [0] * len(a))]
-        assert (fa + fb) == Poly(gf7, add)
-        assert fa - fb == fa + (-fb)
-        assert fa * fb == Poly(gf7, naive_mul(a, b, p))
-        c = rnd.randrange(p)
-        assert fa.scale(c) == fa * Poly(gf7, [c])
+    for p in KERNEL_MODULI:
+        field = PrimeField(p)
+        for _ in range(300):
+            a = random_coeffs(rnd, p, rnd.randint(0, 8))
+            b = random_coeffs(rnd, p, rnd.randint(0, 8))
+            fa, fb = Poly(field, a), Poly(field, b)
+            add = [(x + y) % p for x, y in zip(a + [0] * len(b), b + [0] * len(a))]
+            assert (fa + fb) == Poly(field, add)
+            assert fa - fb == fa + (-fb)
+            assert fa * fb == Poly(field, naive_mul(a, b, p))
+            c = rnd.randrange(p)
+            assert fa.scale(c) == fa * Poly(field, [c])
 
 
-def test_divmod_property(gf7):
+def test_divmod_property():
     rnd = random.Random(1)
-    for _ in range(300):
-        a = Poly(gf7, [rnd.randrange(7) for _ in range(rnd.randint(0, 9))])
-        b = Poly(gf7, [rnd.randrange(7) for _ in range(rnd.randint(1, 5))])
-        if b.is_zero:
-            continue
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero or r.degree < b.degree
-        assert a // b == q and a % b == r
+    for p in KERNEL_MODULI:
+        field = PrimeField(p)
+        for _ in range(300):
+            # Divisors up to 12 coefficients, often longer than the dividend.
+            a = Poly(field, random_coeffs(rnd, p, rnd.randint(0, 9)))
+            b = Poly(field, random_coeffs(rnd, p, rnd.randint(1, 12)))
+            if b.is_zero:
+                continue
+            q, r = divmod(a, b)
+            assert q * b + r == a
+            assert r.is_zero or r.degree < b.degree
+            assert a // b == q and a % b == r
+            if a.degree < b.degree:
+                assert q.is_zero and r == a
 
 
 def test_division_by_zero(gf7):
