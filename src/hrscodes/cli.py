@@ -9,6 +9,7 @@ input, 3 when a brute-force budget is exceeded.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -192,6 +193,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hrscodes",

@@ -10,7 +10,9 @@ key-equation system.  Besides the encoder this module provides Hermite
 interpolation (the inverse of the all-ones encoder on full-length messages),
 the root-multiplicity weight formula, and exhaustive-search oracles used to
 cross-check the fast decoder on small codes; their budget may not pass
-2**63 - 1, since messages are numbered in int64.
+2**63 - 1, since messages are numbered in int64.  The encoder and the
+oracles' batched re-encoding are each one exact GF(p) matrix product,
+poly._dot.
 
 Hermite interpolation is one product with a cached basis: entry (i, j) of
 the basis is the polynomial of degree < rs whose only nonzero
@@ -21,7 +23,7 @@ and is the modulus of the decoder's key equation.  The basis is built once
 per code with the array kernel of the poly module (poly._mul for the
 product tree of G, the Horner steps and the basis recurrence, poly._divmod
 for every Q_j at once, then Taylor series and their inverses), so an
-interpolation costs O((rs)**2) field operations.
+interpolation is one (rs)-by-(rs) vector-matrix product, poly._dot.
 """
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import BudgetExceededError, ParameterError
 from .field import PrimeField
 from .nrt import NrtMatrix, column_weights
-from .poly import Poly, _divmod, _mul
+from .poly import Poly, _divmod, _dot, _mul
 
 # Cap on p**t for the exhaustive-search oracles.
 DEFAULT_BUDGET = 10**6
@@ -127,8 +129,13 @@ class CodeParams:
         if self._pow is None or self._pow.shape[1] < count:
             n = max(count, self.r * self.s)
             tab = np.ones((self.r, n), dtype=self.field.dtype)
-            for k in range(1, n):
-                tab[:, k] = tab[:, k - 1] * self._alpha_vec % self.p
+            # Columns [k, 2k) are columns [0, k) times alpha**k.
+            step = self._alpha_vec[:, np.newaxis]
+            k = 1
+            while k < n:
+                tab[:, k : 2 * k] = tab[:, : min(k, n - k)] * step % self.p
+                step = step * step % self.p
+                k *= 2
             tab.flags.writeable = False
             self._pow = tab
         return self._pow[:, :count]
@@ -270,8 +277,7 @@ def encode(params: CodeParams, f: Poly) -> NrtMatrix:
     _check_message(params, f)
     coeffs = np.zeros(params.t, dtype=params.field.dtype)
     coeffs[: len(f.coeffs)] = f.coeffs
-    enc = params.encoding_matrix()
-    flat = ((enc * coeffs[np.newaxis, :]) % params.p).sum(axis=1) % params.p
+    flat = _dot(coeffs, params.encoding_matrix().T, params.p)
     return NrtMatrix(params.field, flat.reshape(params.s, params.r))
 
 
@@ -293,9 +299,9 @@ def hermite_interpolate(params: CodeParams, y: NrtMatrix) -> Poly:
     Multipliers play no role here; y holds raw derivative values.
     """
     _check_received(params, y)
-    p = params.p
+    n = params.r * params.s
     basis = params._interpolation_tables()[1]
-    h = (y.entries[:, :, np.newaxis] * basis % p).sum(axis=(0, 1)) % p
+    h = _dot(y.entries.reshape(n), basis.reshape(n, n), params.p)
     return Poly(params.field, h.tolist())
 
 
@@ -342,7 +348,7 @@ def brute_force_min_distance(params: CodeParams, budget: int = DEFAULT_BUDGET) -
     for lo in range(0, count, _BATCH):
         hi = min(lo + _BATCH, count)
         msgs = _message_batch(params, lo, hi)
-        flat = msgs @ enc_t % params.p
+        flat = _dot(msgs, enc_t, params.p)
         weights = column_weights(flat.reshape(-1, params.s, params.r)).sum(axis=1)
         if lo == 0:
             weights = weights[1:]  # message 0 is the zero codeword
@@ -361,7 +367,7 @@ def _nearest_scan(params: CodeParams, y: NrtMatrix, budget: int):
     for lo in range(0, count, _BATCH):
         hi = min(lo + _BATCH, count)
         msgs = _message_batch(params, lo, hi)
-        flat = (msgs @ enc_t - target) % params.p
+        flat = (_dot(msgs, enc_t, params.p) - target) % params.p
         dists = column_weights(flat.reshape(-1, params.s, params.r)).sum(axis=1)
         low = int(dists.min())
         if best_dist is None or low < best_dist:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .field import PrimeField
+from .poly import _dot
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,10 +51,7 @@ def mat_vec(field: PrimeField, m: np.ndarray, x) -> np.ndarray:
         raise ParameterError(
             f"dimension mismatch: matrix has {m.shape[1]} columns, vector has {x.shape[0]}"
         )
-    if m.shape[1] == 0:
-        return np.zeros(m.shape[0], dtype=field.dtype)
-    # Reduce products before summing so int64 never overflows.
-    return ((m * x[np.newaxis, :]) % field.p).sum(axis=1) % field.p
+    return _dot(m % field.p, x, field.p)
 
 
 def _pending_limit(p: int) -> int:

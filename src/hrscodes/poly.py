@@ -5,13 +5,15 @@ is nonzero; the zero polynomial has an empty coefficient tuple and degree
 ``-inf``.  All operations are pure and return new instances.
 
 Poly is the immutable public wrapper over the array kernel at the bottom of
-this module (_mul, _divmod and _trim on int64 or object coefficient arrays),
-which the Hermite tables and the Euclid decoder also call directly.
+this module (_mul, _divmod, _dot and _trim on int64 or object arrays), which
+the Hermite tables and the Euclid decoder also call directly.  _dot is the
+one exact GF(p) matrix product: Hermite interpolation, the encoder, the
+brute-force scans and linalg.mat_vec all go through it.
 """
 
 import numpy as np
 
-from .field import PrimeField
+from .field import _INT64_MODULUS_LIMIT, PrimeField
 
 NEG_INF = float("-inf")
 
@@ -250,3 +252,26 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
         below -= rem[..., k + deg : k + deg + 1] * low
         below %= p
     return rem[..., deg:], rem[..., :deg]
+
+
+def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b over GF(p), exactly, for entries in [0, p).
+
+    Above the int64 modulus limit the product runs on Python ints (object
+    arrays); the path is chosen by p, since a may be int64 there.  On the
+    int64 path a is cut into limbs of w bits, w the largest width with
+    K * (2**w - 1) * (p - 1) < 2**63 for inner length K, so every limb
+    product is exact.  The limbs are combined top down: the partial result
+    and the scale 2**w are reduced, so out * scale + (limb product mod p)
+    stays below p**2 + p < 2**63.
+    """
+    if p > _INT64_MODULUS_LIMIT:
+        return a @ b % p
+    inner = max(a.shape[-1], 1)
+    width = (((1 << 63) - 1) // (inner * (p - 1)) + 1).bit_length() - 1
+    top = ((p - 1).bit_length() - 1) // width * width
+    out = (a >> top) @ b % p
+    mask, scale = (1 << width) - 1, pow(2, width, p)
+    for shift in range(top - width, -1, -width):
+        out = (out * scale + (a >> shift & mask) @ b % p) % p
+    return out

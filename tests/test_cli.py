@@ -125,6 +125,16 @@ class TestOptions:
         assert code == 0
         assert out.strip().splitlines()[1].startswith("0,3,3,")
 
+    def test_back_to_back_calls(self, tmp_path, capsys):
+        # The parser is built once per process; the second call must see
+        # only its own --param list.
+        job = write_job(tmp_path, "j.json", matrix=GOLDEN_RECEIVED)
+        code, out, _ = run(capsys, ["decode", "--job", job, "--param", "e=0"])
+        assert code == 0 and json.loads(out)["status"] == "fail"
+        code, out, _ = run(capsys, ["decode", "--job", job, "--param", "seed=5"])
+        assert code == 0
+        assert json.loads(out) == {"status": "ok", "poly": GOLDEN_MESSAGE, "error_weight": 2}
+
     def test_out_of_range_warning(self, tmp_path, capsys):
         job = write_job(tmp_path, "j.json", poly=[12, 2, 3, 1])
         code, out, err = run(capsys, ["encode", "--job", job])

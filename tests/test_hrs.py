@@ -82,6 +82,14 @@ class TestCodeParams:
         params = CodeParams(7, 3, 2, 4, [1, 3, 5])
         tab = params.power_table(5)
         assert tab.tolist() == [[1, 1, 1, 1, 1], [1, 3, 2, 6, 4], [1, 5, 4, 6, 2]]
+        # rs = 6 columns are built at least; counts off powers of two and
+        # past rs.
+        for p in (2, 7, 2**31 - 1, 2**61 - 1):
+            alphas = [0, 1, p - 1] if p > 2 else [0, 1]
+            code = CodeParams(p, len(alphas), 2, 3, alphas)
+            for count in (1, 3, 6, 7, 13, 16, 37):
+                want = [[pow(a, k, p) for k in range(count)] for a in alphas]
+                assert code.power_table(count).tolist() == want
         binom = params.binomial_table(6, 3)
         import math
 
@@ -146,20 +154,25 @@ class TestEncode:
             assert (lhs == rhs).all()
 
     def test_large_modulus(self):
-        p = 2**61 - 1
-        params = CodeParams(p, 3, 2, 4, [1, 2, p - 1])
-        f = Poly(params.field, [p - 1, p - 2, 1, 5])
-        assert encode(params, f) == encode_slow(params, f)
+        # Two limbs on the int64 path, then the object path; multipliers
+        # p - 1 at alpha = 1 give encoding rows of all p - 1, the worst case
+        # for the limb width.
+        for p in (2**31 - 1, 2**61 - 1):
+            for mult in (None, [[p - 1] * 3] * 2):
+                params = CodeParams(p, 3, 2, 4, [1, 2, p - 1], mult)
+                for coeffs in ([p - 1, p - 2, 1, 5], [p - 1] * 4):
+                    f = Poly(params.field, coeffs)
+                    assert encode(params, f) == encode_slow(params, f)
 
 
 class TestHermite:
     def test_roundtrip_random(self):
         rnd = random.Random(12)
         for _ in range(150):
-            p = rnd.choice([5, 7, 13])
+            p = rnd.choice([5, 7, 13, 2**31 - 1])
             s = rnd.randint(1, 3)
             r = rnd.randint(1, min(p, 4))
-            params = CodeParams(p, r, s, r * s, rnd.sample(range(p), r))
+            params = CodeParams(p, r, s, r * s, rnd.sample(range(min(p, 64)), r))
             f = random_poly(rnd, params.field, r * s)
             assert hermite_interpolate(params, encode(params, f)) == f
 

@@ -1,10 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from hrscodes import FieldMismatchError, Poly, PrimeField
-from hrscodes.poly import NEG_INF
+from hrscodes import MAX_CODE_LENGTH, FieldMismatchError, Poly, PrimeField
+from hrscodes.poly import NEG_INF, _dot
 
 
 @pytest.fixture
@@ -92,6 +93,34 @@ def test_divmod_property():
             assert a // b == q and a % b == r
             if a.degree < b.degree:
                 assert q.is_zero and r == a
+
+
+def naive_dot(a, b, p):
+    """a @ b mod p on nested lists of Python ints."""
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def test_dot_against_python_ints():
+    rnd = random.Random(2)
+    # p = 2**31 - 1 takes two limbs on the int64 path, p = 2**61 - 1 the
+    # object path, where the left operand may still be int64 (messages).
+    for p in (2, 101, 2**31 - 1, 2**61 - 1):
+        dtype = PrimeField(p).dtype
+        for _ in range(60):
+            rows, inner, cols = rnd.randint(1, 4), rnd.randint(1, 40), rnd.randint(1, 4)
+            a = [random_coeffs(rnd, p, inner) for _ in range(rows)]
+            b = [random_coeffs(rnd, p, cols) for _ in range(inner)]
+            want = naive_dot(a, b, p)
+            b_arr = np.array(b, dtype=dtype)
+            assert _dot(np.array(a, dtype=dtype), b_arr, p).tolist() == want
+            assert _dot(np.array(a, dtype=np.int64), b_arr, p).tolist() == want
+            assert _dot(np.array(a[0], dtype=dtype), b_arr, p).tolist() == want[0]
+    # Worst case of the int64 path: every entry p - 1 at the longest code.
+    p, k = 2**31 - 1, MAX_CODE_LENGTH
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    b = np.full((k, 3), p - 1, dtype=np.int64)
+    assert _dot(a, b, p).tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
+    assert _dot(a[0], b[:, 0], p) == k * (p - 1) ** 2 % p
 
 
 def test_division_by_zero(gf7):
