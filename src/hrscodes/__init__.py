@@ -16,7 +16,6 @@ from .channel import (
     MISCORRECTED,
     ChannelSpec,
     TrialReport,
-    count_error_matrices,
     count_matrices_of_weight,
     run_trials,
     sample_error,
@@ -25,11 +24,8 @@ from .decoder import (
     DecodeFailure,
     DecodeSuccess,
     FailureReason,
-    WbSystem,
-    build_wb_system,
     decode,
     decoding_radius,
-    existence_witness,
 )
 from .errors import BudgetExceededError, FieldMismatchError, ParameterError
 from .field import MAX_MODULUS, PrimeField, is_prime
@@ -38,14 +34,10 @@ from .hrs import (
     MAX_CODE_LENGTH,
     CodeParams,
     brute_force_min_distance,
-    brute_force_nearest_codeword,
-    codeword_weight_formula,
     encode,
     hermite_interpolate,
-    nearest_codeword_multiplicity,
 )
-from .linalg import LinearSolution, as_matrix, as_vector, mat_vec, solve
-from .nrt import NrtMatrix, column_weight, nrt_distance, nrt_weight
+from .nrt import NrtMatrix, nrt_distance, nrt_weight
 from .poly import Poly
 
 __version__ = "0.1.0"
@@ -61,7 +53,6 @@ __all__ = [
     "DecodeSuccess",
     "FailureReason",
     "FieldMismatchError",
-    "LinearSolution",
     "MAX_CODE_LENGTH",
     "MAX_MODULUS",
     "NrtMatrix",
@@ -69,27 +60,15 @@ __all__ = [
     "Poly",
     "PrimeField",
     "TrialReport",
-    "WbSystem",
-    "as_matrix",
-    "as_vector",
     "brute_force_min_distance",
-    "brute_force_nearest_codeword",
-    "build_wb_system",
-    "codeword_weight_formula",
-    "column_weight",
-    "count_error_matrices",
     "count_matrices_of_weight",
     "decode",
     "decoding_radius",
     "encode",
-    "existence_witness",
     "hermite_interpolate",
     "is_prime",
-    "mat_vec",
-    "nearest_codeword_multiplicity",
     "nrt_distance",
     "nrt_weight",
     "run_trials",
     "sample_error",
-    "solve",
 ]

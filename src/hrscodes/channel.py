@@ -17,7 +17,7 @@ from .decoder import DecodeSuccess, FailureReason, decode
 from .errors import ParameterError
 from .field import PrimeField
 from .hrs import CodeParams, encode
-from .nrt import NrtMatrix, nrt_weight
+from .nrt import NrtMatrix
 from .poly import Poly
 
 CSV_HEADER = (
@@ -49,7 +49,17 @@ class ChannelSpec:
             )
 
     def rng(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed % 2**64, 0]))
+        return _stream(self.seed, 0)
+
+
+def _stream(seed: int, index: int) -> np.random.Generator:
+    """The counter-based stream keyed by (seed mod 2**64, index).
+
+    The key is built as uint64: from a plain list numpy would make a
+    float64 key for seed mod 2**64 >= 2**63, where nearby seeds collide.
+    """
+    key = np.array([seed % 2**64, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def count_matrices_of_weight(s: int, p: int, w_col: int) -> int:
@@ -63,12 +73,6 @@ def count_matrices_of_weight(s: int, p: int, w_col: int) -> int:
     if w_col == 0:
         return 1
     return (p - 1) * p ** (w_col - 1)
-
-
-def count_error_matrices(s: int, r: int, p: int, w: int) -> int:
-    """Number of s x r matrices of NRT weight exactly w."""
-    table = _tail_counts(p, s, r, w)
-    return table[r][w]
 
 
 @lru_cache(maxsize=32)
@@ -173,9 +177,7 @@ def run_trials(params: CodeParams, weight: int, trials: int, seed: int) -> Trial
     successes = 0
     elapsed = 0.0
     for index in range(trials):
-        rng = np.random.Generator(
-            np.random.Philox(key=[seed % 2**64, index])
-        )
+        rng = _stream(seed, index)
         coeffs = [int(c) for c in rng.integers(0, params.p, size=params.t)]
         message = Poly(params.field, coeffs)
         noisy = encode(params, message) + sample_error(spec, rng)

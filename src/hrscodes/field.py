@@ -1,9 +1,10 @@
-"""Exact arithmetic in the prime field GF(p).
+"""The prime field GF(p): modulus validation, array dtype and inverses.
 
 Field elements are plain Python ints in ``[0, p)``; the modulus lives in a
 :class:`PrimeField` context object that every container (polynomial, matrix,
 code) carries.  Mixing values from fields with different moduli is rejected
-wherever two carriers meet.
+wherever two carriers meet.  Bulk arithmetic runs on numpy arrays of
+:attr:`PrimeField.dtype`; the field itself only inverts scalars.
 """
 
 import numpy as np
@@ -92,41 +93,9 @@ class PrimeField:
 
     # -- scalar operations --------------------------------------------------
 
-    def element(self, x: int) -> int:
-        """Reduce an integer into [0, p)."""
-        return int(x) % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; a must be nonzero."""
         a %= self.p
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
         return pow(a, -1, self.p)
-
-    def binomial(self, i: int, j: int) -> int:
-        """C(i, j) mod p by Lucas' theorem, with C(i, j) = 0 for j > i or j < 0.
-
-        Safe for arbitrary non-negative i, j: each base-p digit pair is a
-        small binomial computed multiplicatively mod p.
-        """
-        if j < 0 or j > i:
-            return 0
-        result = 1
-        p = self.p
-        while i or j:
-            di, dj = i % p, j % p
-            if dj > di:
-                return 0
-            result = result * self._small_binomial(di, dj) % p
-            i //= p
-            j //= p
-        return result
-
-    def _small_binomial(self, n: int, k: int) -> int:
-        # n, k < p, so no factor below is divisible by p.
-        k = min(k, n - k)
-        num = den = 1
-        for step in range(k):
-            num = num * (n - step) % self.p
-            den = den * (step + 1) % self.p
-        return num * self.inv(den) % self.p if k else 1

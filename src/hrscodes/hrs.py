@@ -5,14 +5,12 @@ polynomials of degree < t, and the codeword of f is the s x r matrix with
 entry (i, j) = v_{i,j} * (order-(i-1) hyperderivative of f)(alpha_j).
 
 The entries C(k, i) * alpha_j**(k-i) live in one cached table
-(CodeParams.derivative_table), shared by the encoder and the dense
-key-equation system.  Besides the encoder this module provides Hermite
-interpolation (the inverse of the all-ones encoder on full-length messages),
-the root-multiplicity weight formula, and exhaustive-search oracles used to
-cross-check the fast decoder on small codes; their budget may not pass
-2**63 - 1, since messages are numbered in int64.  The encoder and the
-oracles' batched re-encoding are each one exact GF(p) matrix product,
-poly._dot.
+(CodeParams.derivative_table), read by the encoder.  Besides the encoder
+this module provides Hermite interpolation (the inverse of the all-ones
+encoder on full-length messages) and the exhaustive minimum-distance scan
+behind the CLI's mindist; its budget may not pass 2**63 - 1, since
+messages are numbered in int64.  The encoder and the scan's batched
+re-encoding are each one exact GF(p) matrix product, poly._dot.
 
 Hermite interpolation is one product with a cached basis: entry (i, j) of
 the basis is the polynomial of degree < rs whose only nonzero
@@ -162,8 +160,9 @@ class CodeParams:
         order-i hyperderivative of X**k at alpha_j: C(k, i) * alpha_j**(k-i),
         and 0 for k < i.
 
-        The encoder reads the first t columns; the decoder's key equation
-        for error bound e reads the first e + t <= t + radius.
+        The encoder reads the first t columns; the dense key-equation
+        system of tests/reference.py, for error bound e, reads the first
+        e + t <= t + radius.
         """
         if self._deriv is None:
             s, r, p = self.s, self.r, self.p
@@ -305,16 +304,6 @@ def hermite_interpolate(params: CodeParams, y: NrtMatrix) -> Poly:
     return Poly(params.field, h.tolist())
 
 
-def codeword_weight_formula(params: CodeParams, f: Poly) -> int:
-    """NRT weight of encode(f) from root multiplicities: sr - sum of
-    min(multiplicity of alpha_j in f, s)."""
-    _check_message(params, f)
-    total = params.s * params.r
-    for alpha in params.alphas:
-        total -= f.vanishing_order(alpha, cap=params.s)
-    return total
-
-
 def _check_budget(params: CodeParams, budget: int) -> int:
     if budget < 0:
         raise ParameterError(f"budget must be non-negative, got {budget}")
@@ -355,48 +344,3 @@ def brute_force_min_distance(params: CodeParams, budget: int = DEFAULT_BUDGET) -
         if weights.size:
             best = min(best, int(weights.min()))
     return best
-
-
-def _nearest_scan(params: CodeParams, y: NrtMatrix, budget: int):
-    count = _check_budget(params, budget)
-    enc_t = params.encoding_matrix().T
-    target = y.entries.reshape(1, params.s * params.r)
-    best_dist = None
-    best_n = 0
-    ties = 0
-    for lo in range(0, count, _BATCH):
-        hi = min(lo + _BATCH, count)
-        msgs = _message_batch(params, lo, hi)
-        flat = (_dot(msgs, enc_t, params.p) - target) % params.p
-        dists = column_weights(flat.reshape(-1, params.s, params.r)).sum(axis=1)
-        low = int(dists.min())
-        if best_dist is None or low < best_dist:
-            best_dist = low
-            best_n = lo + int(np.argmin(dists))
-            ties = int((dists == low).sum())
-        elif low == best_dist:
-            ties += int((dists == low).sum())
-    coeffs = _message_batch(params, best_n, best_n + 1)[0]
-    return Poly(params.field, [int(c) for c in coeffs]), best_dist, ties
-
-
-def brute_force_nearest_codeword(
-    params: CodeParams, y: NrtMatrix, budget: int = DEFAULT_BUDGET
-):
-    """Message whose codeword is NRT-nearest to y, by full enumeration.
-
-    Ties go to the lexicographically smallest coefficient tuple.  Returns
-    (message polynomial, distance).
-    """
-    _check_received(params, y)
-    f, dist, _ = _nearest_scan(params, y, budget)
-    return f, dist
-
-
-def nearest_codeword_multiplicity(
-    params: CodeParams, y: NrtMatrix, budget: int = DEFAULT_BUDGET
-):
-    """Like brute_force_nearest_codeword plus the count of codewords
-    attaining the minimum distance: (message, distance, count)."""
-    _check_received(params, y)
-    return _nearest_scan(params, y, budget)

@@ -32,10 +32,6 @@ class NrtMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("NrtMatrix is immutable")
 
-    @classmethod
-    def zeros(cls, field: PrimeField, s: int, r: int):
-        return cls(field, np.zeros((s, r), dtype=field.dtype))
-
     @property
     def s(self) -> int:
         return self.entries.shape[0]
@@ -47,9 +43,6 @@ class NrtMatrix:
     @property
     def shape(self):
         return self.entries.shape
-
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j]
 
     def to_lists(self) -> list[list[int]]:
         """Rows as plain lists of ints (row 1 first)."""
@@ -87,16 +80,6 @@ class NrtMatrix:
 
     def __repr__(self):
         return f"NrtMatrix({self.to_lists()}, p={self.field.p})"
-
-
-def column_weight(col, s: int | None = None) -> int:
-    """NRT weight of one length-s column: s - i + 1 at topmost nonzero row i."""
-    col = list(col)
-    if s is None:
-        s = len(col)
-    elif len(col) != s:
-        raise ParameterError(f"column has length {len(col)}, expected {s}")
-    return int(column_weights(np.array(col).reshape(s, 1))[0])
 
 
 def column_weights(entries: np.ndarray) -> np.ndarray:

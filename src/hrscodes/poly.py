@@ -4,11 +4,12 @@ Coefficients are stored low degree first, normalized so the top coefficient
 is nonzero; the zero polynomial has an empty coefficient tuple and degree
 ``-inf``.  All operations are pure and return new instances.
 
-Poly is the immutable public wrapper over the array kernel at the bottom of
-this module (_mul, _divmod, _dot and _trim on int64 or object arrays), which
-the Hermite tables and the Euclid decoder also call directly.  _dot is the
-one exact GF(p) matrix product: Hermite interpolation, the encoder, the
-brute-force scans and linalg.mat_vec all go through it.
+Poly is the immutable public wrapper (ring operations and Euclidean
+division) over the array kernel at the bottom of this module (_mul,
+_divmod, _dot and _trim on int64 or object arrays), which the Hermite
+tables and the Euclid decoder also call directly.  _dot is the one exact
+GF(p) matrix product: Hermite interpolation, the encoder and the
+brute-force scan all go through it.
 """
 
 import numpy as np
@@ -43,11 +44,6 @@ class Poly:
     def one(cls, field):
         return cls(field, (1,))
 
-    @classmethod
-    def monomial(cls, field, degree, coeff=1):
-        """coeff * X**degree"""
-        return cls(field, (0,) * degree + (coeff,))
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -75,21 +71,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.to_list()}, p={self.field.p})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                x = "X" if k == 1 else f"X^{k}"
-                parts.append(x if c == 1 else f"{c}*{x}")
-        return " + ".join(parts)
 
     # -- ring operations -------------------------------------------------------
 
@@ -126,12 +107,6 @@ class Poly:
         b = np.array([other.coeffs], dtype=dtype)
         return Poly(self.field, _mul(a, b, self.field.p)[0].tolist())
 
-    def scale(self, c: int):
-        """Multiply every coefficient by the scalar c."""
-        c = self.field.element(c)
-        p = self.field.p
-        return Poly(self.field, [c * a % p for a in self.coeffs])
-
     def __divmod__(self, other):
         """Euclidean division: self = q * other + r with deg r < deg other."""
         self._check(other)
@@ -143,68 +118,6 @@ class Poly:
         b = np.array(other.coeffs, dtype=field.dtype) * inv_lead % p
         quot, rem = _divmod(a, b, p)
         return Poly(field, (quot * inv_lead % p).tolist()), Poly(field, rem.tolist())
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    # -- evaluation and derivatives ---------------------------------------------
-
-    def evaluate(self, alpha: int) -> int:
-        """f(alpha) by Horner's rule."""
-        p = self.field.p
-        alpha = int(alpha) % p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * alpha + c) % p
-        return acc
-
-    def hyperderivative(self, j: int):
-        """Order-j hyperderivative: sum of C(i, j) * f_i * X**(i - j).
-
-        The zero polynomial is returned whenever j exceeds the degree.
-        """
-        if j < 0:
-            raise ValueError("derivative order must be non-negative")
-        if j == 0:
-            return self
-        p = self.field.p
-        out = []
-        for i in range(j, len(self.coeffs)):
-            out.append(self.field.binomial(i, j) * self.coeffs[i] % p)
-        return Poly(self.field, out)
-
-    def taylor(self, alpha: int, count: int) -> list[int]:
-        """First `count` coefficients of f expanded in powers of (X - alpha).
-
-        Computed by repeated synthetic division; entry j equals the order-j
-        hyperderivative of f at alpha.
-        """
-        p = self.field.p
-        alpha = int(alpha) % p
-        coeffs = list(self.coeffs)
-        out = []
-        for _ in range(count):
-            # Synthetic division by (X - alpha): the remainder is the next
-            # Taylor coefficient and the quotient carries on.
-            acc = 0
-            for k in range(len(coeffs) - 1, -1, -1):
-                acc = (acc * alpha + coeffs[k]) % p
-                coeffs[k] = acc
-            out.append(coeffs.pop(0) if coeffs else 0)
-        return out
-
-    def vanishing_order(self, alpha: int, cap: int) -> int:
-        """Multiplicity of (X - alpha) in f, saturated at `cap`.
-
-        The zero polynomial vanishes to every order and returns `cap`.
-        """
-        if cap < 0:
-            raise ValueError("cap must be non-negative")
-        taylor = self.taylor(alpha, cap)
-        return next((k for k, c in enumerate(taylor) if c), cap)
 
 
 # -- array kernel: coefficients low degree first, entries in [0, p) ------------

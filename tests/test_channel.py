@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 
 import pytest
 
@@ -13,14 +14,14 @@ from hrscodes import (
     ParameterError,
     PrimeField,
     TrialReport,
-    count_error_matrices,
     count_matrices_of_weight,
     decoding_radius,
     nrt_weight,
     run_trials,
     sample_error,
 )
-from hrscodes.nrt import column_weight
+from hrscodes.channel import _stream
+from reference import column_weight, count_error_matrices
 
 
 class TestCounting:
@@ -105,6 +106,40 @@ class TestSampling:
         rng = spec.rng()
         seen = {int(sample_error(spec, rng).entries[0, 0]) for _ in range(100)}
         assert seen == {1, 2}
+
+    def test_seeds_at_and_above_2_63_draw_apart(self):
+        # Seeds with seed mod 2**64 >= 2**63 (every negative seed among
+        # them) once made a float64 Philox key: neighbours drew the same
+        # streams, with a RuntimeWarning from the cast.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in ((-5, -6), (2**63 + 7, 2**63 + 8)):
+                draws = [
+                    sample_error(ChannelSpec(p=101, s=2, r=4, weight=5, seed=seed))
+                    for seed in (a, b)
+                ]
+                assert draws[0] != draws[1]
+                trial = [_stream(seed, 3).integers(0, 2**62, size=4).tolist() for seed in (a, b)]
+                assert trial[0] != trial[1]
+
+    def test_streams_pinned_below_2_63(self, golden_params):
+        # Draws fixed before the key became uint64; seeds in [0, 2**63)
+        # keep them.
+        pinned = {
+            0: [[62, 0, 0, 51], [24, 0, 19, 91]],
+            5: [[6, 0, 0, 25], [59, 21, 0, 84]],
+            2**63 - 1: [[0, 76, 49, 0], [0, 62, 53, 74]],
+        }
+        for seed, rows in pinned.items():
+            spec = ChannelSpec(p=101, s=2, r=4, weight=5, seed=seed)
+            assert sample_error(spec).to_lists() == rows
+        # (no_solution, non_divisible, miscorrected) of 40 trials at weight 4.
+        reports = {0: (4, 32, 4), 5: (4, 29, 7), 2**63 - 1: (10, 24, 6)}
+        for seed, counts in reports.items():
+            report = run_trials(golden_params, weight=4, trials=40, seed=seed)
+            f = report.failures
+            got = (f[FailureReason.NO_SOLUTION.value], f[FailureReason.NON_DIVISIBLE.value])
+            assert got + (f[MISCORRECTED],) == counts
 
     def test_big_modulus(self):
         p = (1 << 61) - 1

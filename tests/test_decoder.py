@@ -12,15 +12,11 @@ from hrscodes import (
     NrtMatrix,
     ParameterError,
     Poly,
-    build_wb_system,
     decode,
     decoding_radius,
     encode,
-    existence_witness,
-    mat_vec,
     nrt_distance,
     sample_error,
-    solve,
 )
 from conftest import (
     GOLDEN_LOCATOR,
@@ -29,6 +25,15 @@ from conftest import (
     GOLDEN_RHS,
     random_code,
     random_poly,
+)
+from reference import (
+    binomial,
+    build_wb_system,
+    existence_witness,
+    mat_vec,
+    monomial,
+    nearest_codeword_multiplicity,
+    solve,
 )
 
 
@@ -133,7 +138,7 @@ class TestBuildSystem:
         for d in range(2):
             for a in params.alphas:
                 want.append(
-                    [gf7.binomial(k, d) * pow(a, k - d, 7) % 7 if k >= d else 0 for k in range(4)]
+                    [binomial(gf7, k, d) * pow(a, k - d, 7) % 7 if k >= d else 0 for k in range(4)]
                 )
         assert system.matrix.tolist() == want
         assert system.rhs.tolist() == [3, 1, 0, 2, 2, 5]
@@ -294,6 +299,79 @@ class TestEuclidAgainstDenseSystem:
         assert seen == {"ok", FailureReason.NO_SOLUTION, FailureReason.NON_DIVISIBLE}
 
 
+def brute_force_codes(rnd):
+    """Codes whose p**t messages the exhaustive scan can enumerate: s = p,
+    r = p and both for p in {2, 3}, then p in {5, 7, 13}; alpha = 0 in
+    every even-numbered code and absent from the others where r < p,
+    random multipliers in half of the codes with p > 2, and t as large as
+    the budget allows (t = rs where p**(rs) fits) in every fourth."""
+    shapes = [
+        (p, r, s)
+        for p in (2, 3)
+        for r, s in ((p, p), (p, 1), (1, p), (p, 2), (2, p))
+        for _ in range(2)
+    ]
+    shapes += [
+        (p, rnd.randint(2, min(p, 6)), rnd.randint(1, 3)) for p in (5, 7, 13) for _ in range(6)
+    ]
+    for index, (p, r, s) in enumerate(shapes):
+        top = max(t for t in range(1, r * s + 1) if p**t <= 20_000)
+        t = top if index % 4 == 0 else rnd.randint(1, top)
+        if index % 2 and r < p:
+            alphas = rnd.sample(range(1, p), r)
+        else:
+            alphas = [0] + rnd.sample(range(1, p), r - 1)
+        multipliers = None
+        if index % 4 in (1, 2) and p > 2:
+            multipliers = [[rnd.randrange(1, p) for _ in range(r)] for _ in range(s)]
+        yield CodeParams(p, r, s, t, alphas, multipliers)
+
+
+class TestDecodeAgainstBruteForce:
+    def test_matches_nearest_codeword(self):
+        """decode(y, e) succeeds exactly when the brute-force nearest
+        codeword lies within e, and then returns its message: inside the
+        radius the nearest message is unique, and beyond it a success is
+        still the nearest message within e.
+
+        The scan enumerates all p**t messages, so p = 2**31 - 1 and
+        p = 2**61 - 1 cannot be covered here; on those paths decode is
+        checked against the dense key-equation system by
+        TestEuclidAgainstDenseSystem.
+        """
+        rnd = random.Random(26)
+        seen = set()
+        for params in brute_force_codes(rnd):
+            p, n = params.p, params.r * params.s
+            radius = decoding_radius(params)
+            rows = [[rnd.randrange(p) for _ in range(params.r)] for _ in range(params.s)]
+            # (word, weight of the error it was built with); a random word
+            # counts as weight n.
+            words = [(NrtMatrix(params.field, rows), n)]
+            for weight in range(min(radius + 2, n) + 1):
+                f = random_poly(rnd, params.field, params.t)
+                spec = ChannelSpec(
+                    p=p, s=params.s, r=params.r, weight=weight, seed=rnd.getrandbits(32)
+                )
+                words.append((encode(params, f) + sample_error(spec), weight))
+            for y, weight in words:
+                best, dist, count = nearest_codeword_multiplicity(params, y)
+                if dist <= radius:
+                    assert count == 1
+                for e in range(radius + 1):
+                    out = decode(params, y, e)
+                    case = (p, params.r, params.s, params.t, params.alphas, e, y.to_lists())
+                    if dist <= e:
+                        assert isinstance(out, DecodeSuccess), case
+                        assert out.message == best, case
+                        assert out.error_weight == dist, case
+                        seen.add("ok" if weight <= e else "ok beyond e")
+                    else:
+                        assert isinstance(out, DecodeFailure), case
+                        seen.add("fail")
+        assert seen == {"ok", "ok beyond e", "fail"}
+
+
 class TestRatioInvariance:
     def test_solution_pairs_share_the_fraction(self):
         rnd = random.Random(23)
@@ -336,7 +414,7 @@ class TestExistenceWitness:
     def test_zero_error_gives_pure_power(self, golden_params, golden_message, gf7):
         cw = encode(golden_params, golden_message)
         e1, n1 = existence_witness(golden_params, golden_message, cw, 2)
-        assert e1 == Poly.monomial(gf7, 2)
+        assert e1 == monomial(gf7, 2)
         assert n1 == e1 * golden_message
 
     def test_random_witnesses_satisfy_system(self):

@@ -12,14 +12,10 @@ from hrscodes import (
     Poly,
     PrimeField,
     brute_force_min_distance,
-    brute_force_nearest_codeword,
-    codeword_weight_formula,
     encode,
     hermite_interpolate,
-    nearest_codeword_multiplicity,
     nrt_distance,
     nrt_weight,
-    solve,
 )
 from conftest import (
     GOLDEN_CODEWORD,
@@ -28,16 +24,26 @@ from conftest import (
     random_code,
     random_poly,
 )
+from reference import (
+    binomial,
+    brute_force_nearest_codeword,
+    codeword_weight_formula,
+    evaluate,
+    hyperderivative,
+    monomial,
+    nearest_codeword_multiplicity,
+    solve,
+)
 
 
 def encode_slow(params, f):
     """Scalar re-implementation of the evaluation map, used as an oracle."""
     rows = []
     for i in range(params.s):
-        d = f.hyperderivative(i)
+        d = hyperderivative(f, i)
         rows.append(
             [
-                int(params.multipliers[i, j]) * d.evaluate(a) % params.p
+                int(params.multipliers[i, j]) * evaluate(d, a) % params.p
                 for j, a in enumerate(params.alphas)
             ]
         )
@@ -107,10 +113,10 @@ class TestCodeParams:
             assert deriv.shape == (3, 3, 6) and not deriv.flags.writeable
             assert not deriv[1, :, :1].any() and not deriv[2, :, :2].any()
             for k in range(6):
-                xk = Poly.monomial(code.field, k)
+                xk = monomial(code.field, k)
                 for i in range(3):
                     for j, alpha in enumerate(code.alphas):
-                        assert deriv[i, j, k] == xk.hyperderivative(i).evaluate(alpha)
+                        assert deriv[i, j, k] == evaluate(hyperderivative(xk, i), alpha)
 
 
 class TestEncode:
@@ -123,7 +129,7 @@ class TestEncode:
 
     def test_degree_bound(self, golden_params, gf7):
         with pytest.raises(ParameterError):
-            encode(golden_params, Poly.monomial(gf7, 4))
+            encode(golden_params, monomial(gf7, 4))
         with pytest.raises(FieldMismatchError):
             encode(golden_params, Poly(PrimeField(5), [1]))
 
@@ -148,7 +154,7 @@ class TestEncode:
             f = random_poly(rnd, params.field, params.t)
             g = random_poly(rnd, params.field, params.t)
             a, b = rnd.randrange(7), rnd.randrange(7)
-            combo = f.scale(a) + g.scale(b)
+            combo = f * Poly(params.field, [a]) + g * Poly(params.field, [b])
             lhs = encode(params, combo).entries
             rhs = (a * encode(params, f).entries + b * encode(params, g).entries) % 7
             assert (lhs == rhs).all()
@@ -181,7 +187,7 @@ class TestHermite:
         y = NrtMatrix(gf7, [[2, 0, 3, 3]])
         h = hermite_interpolate(params, y)
         assert h.degree < 4
-        assert [h.evaluate(a) for a in params.alphas] == [2, 0, 3, 3]
+        assert [evaluate(h, a) for a in params.alphas] == [2, 0, 3, 3]
 
     def test_golden_received_against_linear_solve(self, golden_params, golden_received, gf7):
         # Independent oracle: fit the 8 coefficients of H directly from the
@@ -191,7 +197,7 @@ class TestHermite:
         for i in range(2):
             for j, a in enumerate(golden_params.alphas):
                 rows.append(
-                    [gf7.binomial(k, i) * pow(a, k - i, 7) if k >= i else 0 for k in range(8)]
+                    [binomial(gf7, k, i) * pow(a, k - i, 7) if k >= i else 0 for k in range(8)]
                 )
                 rhs.append(int(golden_received.entries[i, j]))
         sol = solve(gf7, np.array(rows), rhs)
@@ -200,9 +206,9 @@ class TestHermite:
         h = hermite_interpolate(golden_params, golden_received)
         assert h == expect
         for i in range(2):
-            d = h.hyperderivative(i)
+            d = hyperderivative(h, i)
             for j, a in enumerate(golden_params.alphas):
-                assert d.evaluate(a) == int(golden_received.entries[i, j])
+                assert evaluate(d, a) == int(golden_received.entries[i, j])
 
     def test_shape_validation(self, golden_params, gf7):
         with pytest.raises(ParameterError):
