@@ -85,16 +85,15 @@ def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
 
     Each remainder carries its cofactor below it as w_i = t_i + X**m * r_i
     with m = len(g).  Since deg t_{i+1} = deg g - deg r_i < m, the remainder
-    of w_{i-1} divided by w_i (made monic, which keeps the remainder) is
-    w_{i+1} = w_{i-1} - q_i * w_i, where q_i is the quotient of r_{i-1} by
-    r_i: one division updates both.
+    of w_{i-1} divided by w_i is w_{i+1} = w_{i-1} - q_i * w_i, where q_i is
+    the quotient of r_{i-1} by r_i: one division updates both.  w_i is
+    passed as it is; _divmod inverts its leading coefficient.
     """
     p, m = field.p, len(g)
     w0 = np.concatenate([np.zeros(m, dtype=g.dtype), g])
     w1 = np.concatenate([np.eye(1, m, dtype=g.dtype)[0], _trim(h)])
     while len(w1) - m > stop:
-        inv_lead = field.inv(int(w1[-1]))
-        w = _divmod(w0, w1 * inv_lead % p, p)[1]
+        w = _divmod(w0, w1, p)[1]
         w0, w1 = w1, w[: m + len(_trim(w[m:]))]
     return w1[m:], _trim(w1[:m])
 

@@ -7,9 +7,11 @@ is nonzero; the zero polynomial has an empty coefficient tuple and degree
 Poly is the immutable public wrapper (ring operations and Euclidean
 division) over the array kernel at the bottom of this module (_mul,
 _divmod, _dot and _trim on int64 or object arrays), which the Hermite
-tables and the Euclid decoder also call directly.  _dot is the one exact
-GF(p) matrix product: Hermite interpolation, the encoder and the
-brute-force scan all go through it.
+tables and the Euclid decoder also call directly.  _divmod is the one
+division: it takes divisors with any unit leading coefficient and reduces
+only when int64 could overflow.  _dot is the one exact GF(p) matrix
+product: Hermite interpolation, the encoder and the brute-force scan all go
+through it.
 """
 
 import numpy as np
@@ -108,16 +110,16 @@ class Poly:
         return Poly(self.field, _mul(a, b, self.field.p)[0].tolist())
 
     def __divmod__(self, other):
-        """Euclidean division: self = q * other + r with deg r < deg other."""
+        """Euclidean division: self = q * other + r with deg r < deg other,
+        one _divmod call, which inverts the leading coefficient of other."""
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero polynomial")
-        field, p = self.field, self.field.p
-        inv_lead = field.inv(other.coeffs[-1])
+        field = self.field
         a = np.array(self.coeffs, dtype=field.dtype)
-        b = np.array(other.coeffs, dtype=field.dtype) * inv_lead % p
-        quot, rem = _divmod(a, b, p)
-        return Poly(field, (quot * inv_lead % p).tolist()), Poly(field, rem.tolist())
+        b = np.array(other.coeffs, dtype=field.dtype)
+        quot, rem = _divmod(a, b, field.p)
+        return Poly(field, quot.tolist()), Poly(field, rem.tolist())
 
 
 # -- array kernel: coefficients low degree first, entries in [0, p) ------------
@@ -150,20 +152,44 @@ def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Division by monic divisors over GF(p) along the last axis, any rank:
-    (q, r) with a = q*b + r and r one coefficient shorter than b, untrimmed.
+    """Division over GF(p) along the last axis, any rank: (q, r) with
+    a = q*b + r and r one coefficient shorter than b, untrimmed.
 
-    Each step leaves the top coefficient of the remainder in place as the
-    next quotient coefficient and reduces the ones below it; no intermediate
-    passes p**2 < 2**62 in size on the int64 path.
+    A divisor's leading coefficient may be any unit: it is inverted once per
+    row, and not at all for a stack of monic divisors.  Each step reads the
+    top of the remainder (a Python int for one row, a column for a stack),
+    reduces and scales it into the next quotient coefficient in place, and
+    subtracts that multiple of the divisor from the entries below without
+    reducing them.  An entry in [0, p) that then takes k products, each in
+    [0, (p-1)**2], lies in (-k*(p-1)**2, p); so on the int64 path the live
+    entries are reduced only before k would pass (2**63-1-p) // (p-1)**2
+    (2 at p = 2**31-1), and object arrays never need it.  The remainder is
+    reduced once at the end.
     """
     deg = b.shape[-1] - 1
-    low = b[..., :deg]
+    low, lead = b[..., :deg], b[..., deg:]
+    row = a.ndim == 1
+    scaled = not row and not (lead == 1).all()
+    if row:
+        inv = pow(int(lead[0]), -1, p)
+    elif scaled:
+        inv = np.array([pow(int(c), -1, p) for c in lead.flat], dtype=b.dtype).reshape(lead.shape)
     rem = a.copy()
-    for k in range(a.shape[-1] - deg - 1, -1, -1):
+    # On object arrays the budget exceeds the step count: no mid-loop reduction.
+    budget = a.shape[-1] if rem.dtype == object else ((1 << 63) - 1 - p) // (p - 1) ** 2
+    for done, k in enumerate(range(a.shape[-1] - deg - 1, -1, -1)):
+        if row:
+            quot = rem[k + deg] = int(rem[k + deg]) * inv % p
+        else:
+            quot = rem[..., k + deg : k + deg + 1]
+            quot %= p
+            if scaled:
+                quot[...] = quot * inv % p
         below = rem[..., k : k + deg]
-        below -= rem[..., k + deg : k + deg + 1] * low
-        below %= p
+        if done and done % budget == 0:
+            below %= p
+        below -= quot * low
+    rem[..., :deg] %= p
     return rem[..., deg:], rem[..., :deg]
 
 

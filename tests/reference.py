@@ -4,8 +4,8 @@ Nothing here is on the codec's path; every function is a slow, direct
 transcription of a definition or of the paper's dense algorithm:
 
 - scalar polynomial helpers (Horner evaluation, hyperderivatives, Taylor
-  coefficients by synthetic division, root multiplicities, monomials) and
-  C(i, j) mod p by Lucas' theorem;
+  coefficients by synthetic division, root multiplicities, monomials,
+  schoolbook long division) and C(i, j) mod p by Lucas' theorem;
 - dense Gaussian elimination over GF(p) with a nullspace basis;
 - the dense rs x (2e+t) Welch-Berlekamp system of the key equation, which
   decode solves by a partial extended Euclid instead, and a hand-built
@@ -129,6 +129,26 @@ def vanishing_order(f: Poly, alpha: int, cap: int) -> int:
         raise ValueError("cap must be non-negative")
     coeffs = taylor(f, alpha, cap)
     return next((k for k, c in enumerate(coeffs) if c), cap)
+
+
+def long_division(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Schoolbook division of a by b over GF(p) on lists of Python ints, low
+    degree first, b with a nonzero top coefficient.
+
+    Returns (q, r) with a = q*b + r in the layout of poly._divmod: q has
+    len(a) - len(b) + 1 coefficients (none when a is shorter than b) and r
+    the len(b) - 1 lowest coefficients of the remainder (all of a when a is
+    shorter); neither is trimmed.
+    """
+    deg = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    rem = [c % p for c in a]
+    quot = [0] * max(len(a) - deg, 0)
+    for k in reversed(range(len(quot))):
+        quot[k] = rem[k + deg] * inv % p
+        for i, c in enumerate(b):
+            rem[k + i] = (rem[k + i] - quot[k] * c) % p
+    return quot, rem[:deg]
 
 
 # -- dense linear algebra over GF(p) -----------------------------------------------

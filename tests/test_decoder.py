@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -370,6 +371,67 @@ class TestDecodeAgainstBruteForce:
                         assert isinstance(out, DecodeFailure), case
                         seen.add("fail")
         assert seen == {"ok", "ok beyond e", "fail"}
+
+
+def digest_codes(rnd):
+    """Codes over every field path for the decode pin: s = p, r = p or both
+    for p in {2, 3}, t = rs in every third, alpha = 0 in every even-numbered
+    code, random multipliers in every code with index 1 or 2 mod 4, and one
+    n = 64, t = 32 code per modulus above 7, whose divisions run long enough
+    to reduce mid-loop on the int64 path."""
+    shapes = [(p, r, s, None) for p in (2, 3) for r, s in ((p, p), (p, 1), (1, p), (p, 2))]
+    for p in (7, 101, 2**31 - 1, 2**61 - 1):
+        shapes += [(p, rnd.randint(2, 8), rnd.randint(1, 3), None) for _ in range(6)]
+        if p > 7:
+            shapes.append((p, 16, 4, 32))
+    for index, (p, r, s, t) in enumerate(shapes):
+        if t is None:
+            t = r * s if index % 3 == 0 else rnd.randint(1, r * s)
+        pool = range(min(p, 10**6))
+        alphas = [0] + rnd.sample(pool[1:], r - 1) if index % 2 == 0 else rnd.sample(pool, r)
+        multipliers = None
+        if index % 4 in (1, 2):
+            multipliers = [[rnd.randrange(1, p) for _ in range(r)] for _ in range(s)]
+        yield CodeParams(p, r, s, t, alphas, multipliers)
+
+
+def decode_digest():
+    """sha256 over every decode outcome (message, locator, evaluator and
+    error weight, or the failure reason) on seeded words of weight
+    0..radius+2 and random words, for every e up to the radius."""
+    rnd = random.Random(27)
+    digest = hashlib.sha256()
+    for params in digest_codes(rnd):
+        p, n = params.p, params.r * params.s
+        radius = decoding_radius(params)
+        rows = [[rnd.randrange(p) for _ in range(params.r)] for _ in range(params.s)]
+        words = [NrtMatrix(params.field, rows)]
+        for weight in range(min(radius + 2, n) + 1):
+            f = random_poly(rnd, params.field, params.t)
+            spec = ChannelSpec(p=p, s=params.s, r=params.r, weight=weight, seed=rnd.getrandbits(32))
+            words.append(encode(params, f) + sample_error(spec))
+        for y in words:
+            for e in range(radius + 1):
+                out = decode(params, y, e)
+                if isinstance(out, DecodeSuccess):
+                    record = (
+                        out.message.coeffs,
+                        out.locator.coeffs,
+                        out.evaluator.coeffs,
+                        out.error_weight,
+                    )
+                else:
+                    record = out.reason.value
+                digest.update(repr((p, params.r, params.s, params.t, e, record)).encode())
+    return digest.hexdigest()
+
+
+def test_decode_outcomes_pinned():
+    """Every outcome of decode_digest's words, byte for byte.  The digest
+    was taken from the decoder whose division kernel reduced after every
+    elimination, so a change in arithmetic that moves any outcome fails
+    here."""
+    assert decode_digest() == "aadfc321790ee9230941fd87be873d4c234840ed7c7bac97a4a847d598706250"
 
 
 class TestRatioInvariance:

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from hrscodes import MAX_CODE_LENGTH, FieldMismatchError, Poly, PrimeField
-from hrscodes.poly import NEG_INF, _dot
-from reference import evaluate, hyperderivative, monomial, taylor, vanishing_order
+from hrscodes.poly import NEG_INF, _divmod, _dot
+from reference import (
+    evaluate,
+    hyperderivative,
+    long_division,
+    monomial,
+    taylor,
+    vanishing_order,
+)
 
 
 @pytest.fixture
@@ -92,6 +99,53 @@ def test_divmod_property():
             assert r.is_zero or r.degree < b.degree
             if a.degree < b.degree:
                 assert q.is_zero and r == a
+
+
+def check_divmod_kernel(a, b, p):
+    """_divmod on the rows of a and b (lists of equal-length lists) as one
+    stack and, for a single row, as a rank-1 array, against long_division;
+    every entry returned must lie in [0, p)."""
+    dtype = PrimeField(p).dtype
+    want = [long_division(x, y, p) for x, y in zip(a, b)]
+    quot, rem = _divmod(np.array(a, dtype=dtype), np.array(b, dtype=dtype), p)
+    results = [list(zip(quot.tolist(), rem.tolist()))]
+    if len(a) == 1:
+        quot, rem = _divmod(np.array(a[0], dtype=dtype), np.array(b[0], dtype=dtype), p)
+        results.append([(quot.tolist(), rem.tolist())])
+    for result in results:
+        assert result == want
+        assert all(0 <= c < p for q, r in result for c in q + r)
+
+
+def test_divmod_kernel_against_long_division():
+    rnd = random.Random(6)
+    for p in (2, 3, 101, 2**31 - 1, 2**61 - 1):
+        for case in range(40):
+            # Empty, short and long dividends; divisors up to 3 longer than
+            # the dividend; stacks of 3 rows in half the cases.
+            la = rnd.choice([0, rnd.randint(1, 12), rnd.randint(100, 600)])
+            lb = rnd.randint(1, min(la, 40) + 3)
+            rows = 3 if case % 4 < 2 else 1
+            a = [random_coeffs(rnd, p, la) for _ in range(rows)]
+            b = [random_coeffs(rnd, p, lb - 1) for _ in range(rows)]
+            # Monic divisors in half the cases, other unit leads otherwise.
+            for low in b:
+                low.append(1 if case % 2 else rnd.randrange(1, p))
+            check_divmod_kernel(a, b, p)
+    # Worst case of the int64 budget at p = 2**31 - 1: divisor, quotient and
+    # remainder all p - 1 (the dividend built from them), so every step
+    # subtracts (p - 1)**2 from each live entry; then a dividend of all p - 1.
+    # Monic divisors and divisors with leading coefficient p - 1.
+    p = 2**31 - 1
+    for lead in (1, p - 1):
+        for lb in (2, 3, 7, 64):
+            b = [[p - 1] * (lb - 1) + [lead]]
+            product = naive_mul([p - 1] * (601 - lb), b[0], p)
+            worst = [(c + (p - 1) * (i < lb - 1)) % p for i, c in enumerate(product)]
+            assert long_division(worst, b[0], p)[0] == [p - 1] * (601 - lb)
+            for a in ([worst], [[p - 1] * 600]):
+                check_divmod_kernel(a, b, p)
+                check_divmod_kernel(a * 2, b * 2, p)
 
 
 def naive_dot(a, b, p):
