@@ -5,6 +5,9 @@ column of weight u > 0 is free below its topmost nonzero entry, so there
 are (p-1)*p**(u-1) such columns; a tail-count table over these column
 counts lets each column weight be drawn with its exact conditional
 probability, using arbitrary-precision integers throughout.
+
+Draws are defined by the raw 64-bit words of a numpy bit generator (Philox,
+PCG64, PCG64DXSM or SFC64), whose streams numpy keeps stable across versions.
 """
 
 import time
@@ -28,6 +31,10 @@ CSV_HEADER = (
 # Trials where decode returns a wrong message inside its distance contract.
 MISCORRECTED = "miscorrected"
 
+# Largest tail-count table a spec may ask for: the largest code table that
+# hrs.MAX_CODE_LENGTH allows.  Doubling r and weight makes it about 8x larger.
+_MAX_TABLE_BYTES = 160 << 20
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -47,6 +54,8 @@ class ChannelSpec:
             raise ParameterError(
                 f"weight must lie in [0, {self.s * self.r}], got {self.weight}"
             )
+        if not _table_fits(self.p, self.s, self.r, self.weight):
+            raise ParameterError(f"tail-count table of {self} exceeds {_MAX_TABLE_BYTES >> 20} MiB")
 
     def rng(self) -> np.random.Generator:
         return _stream(self.seed, 0)
@@ -75,6 +84,19 @@ def count_matrices_of_weight(s: int, p: int, w_col: int) -> int:
     return (p - 1) * p ** (w_col - 1)
 
 
+def _table_fits(p: int, s: int, r: int, w: int) -> bool:
+    """Whether _tail_counts(p, s, r, w) fits _MAX_TABLE_BYTES by an upper
+    estimate: entry [c][v] is 0 for v > c*s, else a Python int (28 bytes
+    plus 4 per 30 bits) below p**v * 2**(v+c), in a row of 64 + 8(w+1)."""
+    bits, total = p.bit_length() + 1, (r + 1) * (64 + 8 * (w + 1))
+    for c in range(1, r + 1):
+        if total > _MAX_TABLE_BYTES:
+            break
+        m = min(w, c * s)
+        total += 32 * m + 4 * (bits * m * (m + 1) // 2 + c * m) // 30
+    return total <= _MAX_TABLE_BYTES
+
+
 @lru_cache(maxsize=32)
 def _tail_counts(p: int, s: int, r: int, w: int):
     """table[c][v] = number of ways c columns can carry total weight v <= w."""
@@ -92,21 +114,62 @@ def _tail_counts(p: int, s: int, r: int, w: int):
     return table
 
 
-def _uniform_below(rng: np.random.Generator, n: int) -> int:
-    """Uniform integer in [0, n) for arbitrary-precision n, by rejection."""
-    bits = (n - 1).bit_length()
-    nbytes = (bits + 7) // 8
-    mask = (1 << bits) - 1
-    while True:
-        x = int.from_bytes(rng.bytes(nbytes), "little") & mask
-        if x < n:
-            return x
+class _Words:
+    """numpy's uint32 and uint64 words over a bit generator's raw 64-bit words:
+    a uint32 is the low half of a fresh word, whose high half waits in the
+    generator's buffer (has_uint32, uinteger) for the next uint32."""
+
+    def __init__(self, bit_generator):
+        state = bit_generator.state
+        if "has_uint32" not in state:
+            raise ParameterError(f"bit generator {state['bit_generator']} is not supported")
+        self.bit_generator, self.raw = bit_generator, bit_generator.random_raw
+        self.entry = self.has, self.half = state["has_uint32"], state["uinteger"]
+
+    def uint32(self, k: int) -> list[int]:
+        out, self.has = [self.half] * self.has, 0
+        if len(out) < k:
+            for word in self.raw((k - len(out) + 1) // 2).tolist():
+                out += (word & 0xFFFFFFFF, word >> 32)
+            self.has, self.half = int(len(out) > k), out[-1]
+        return out[:k]
+
+    def uniform(self, n: int) -> int:
+        """[0, n) by rejection on Generator.bytes: whole uint32 words (one
+        even for n = 1) masked to the bit length of n - 1."""
+        bits, x = (n - 1).bit_length(), n
+        while x >= n:
+            words = self.uint32(max(1, -(-bits // 32)))
+            x = sum(w << 32 * i for i, w in enumerate(words)) & ((1 << bits) - 1)
+        return x
+
+    def below(self, n: int, k: int) -> list[int]:
+        """k draws from [0, n) as Generator.integers makes them: Lemire's
+        rejection on uint32 words for n <= 2**32, on raw words above."""
+        bits, out = 32 if n <= 1 << 32 else 64, [] if n > 1 else [0] * k
+        while len(out) < k:
+            words = self.uint32(k - len(out)) if bits == 32 else self.raw(k - len(out)).tolist()
+            out += [w * n >> bits for w in words if w * n % (1 << bits) >= (1 << bits) % n]
+        return out
+
+    def close(self):
+        if (self.has, self.half) != self.entry:
+            state = self.bit_generator.state
+            state["has_uint32"], state["uinteger"] = self.has, self.half
+            self.bit_generator.state = state
 
 
 def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> NrtMatrix:
-    """One matrix drawn uniformly among those of NRT weight exactly spec.weight."""
+    """One matrix drawn uniformly among those of NRT weight exactly spec.weight.
+
+    The draws are read from the raw words of rng's bit generator as
+    Generator.bytes and Generator.integers would read them, and leave it
+    where those calls would: numpy keeps raw streams stable across versions,
+    not Generator methods.  Philox, PCG64, PCG64DXSM and SFC64 are accepted.
+    """
     if rng is None:
         rng = spec.rng()
+    words = _Words(rng.bit_generator)
     gf = PrimeField(spec.p)
     s, r, p = spec.s, spec.r, spec.p
     entries = np.zeros((s, r), dtype=gf.dtype)
@@ -115,20 +178,15 @@ def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> N
     col_counts = [count_matrices_of_weight(s, p, u) for u in range(s + 1)]
     for j in range(r):
         tail = table[r - 1 - j]
-        draw = _uniform_below(rng, table[r - j][remaining])
+        draw = words.uniform(table[r - j][remaining])
         u = 0
-        while True:
-            bucket = col_counts[u] * tail[remaining - u]
-            if draw < bucket:
-                break
-            draw -= bucket
+        while draw >= col_counts[u] * tail[remaining - u]:
+            draw -= col_counts[u] * tail[remaining - u]
             u += 1
         if u > 0:
-            entries[s - u, j] = int(rng.integers(1, p))
-            if u > 1:
-                # Plain ints so object arrays never hold numpy scalars.
-                entries[s - u + 1 :, j] = [int(x) for x in rng.integers(0, p, size=u - 1)]
+            entries[s - u :, j] = [1 + words.below(p - 1, 1)[0], *words.below(p, u - 1)]
         remaining -= u
+    words.close()
     return NrtMatrix(gf, entries)
 
 

@@ -12,7 +12,10 @@ transcription of a definition or of the paper's dense algorithm:
   solution of it for words close to the code;
 - the NRT weight of one column, the number of matrices of a given NRT
   weight, the codeword weight from root multiplicities, and the
-  exhaustive nearest-codeword scan.
+  exhaustive nearest-codeword scan;
+- the exact-weight sampler written with numpy ``Generator`` calls
+  (``bytes`` and ``integers``), whose draws the codec's raw-word sampler
+  reproduces word for word.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hrscodes import CodeParams, NrtMatrix, ParameterError, Poly, PrimeField
-from hrscodes.channel import _tail_counts
+from hrscodes.channel import ChannelSpec, _tail_counts, count_matrices_of_weight
 from hrscodes.decoder import _check_bound, _unscaled
 from hrscodes.hrs import (
     _BATCH,
@@ -427,3 +430,48 @@ def brute_force_nearest_codeword(
     """nearest_codeword_multiplicity without the count: (message, distance)."""
     f, dist, _ = nearest_codeword_multiplicity(params, y, budget)
     return f, dist
+
+
+# -- the channel -------------------------------------------------------------------
+
+
+def uniform_below(rng: np.random.Generator, n: int) -> int:
+    """Uniform integer in [0, n) for arbitrary-precision n, by rejection."""
+    bits = (n - 1).bit_length()
+    nbytes = (bits + 7) // 8
+    mask = (1 << bits) - 1
+    while True:
+        x = int.from_bytes(rng.bytes(nbytes), "little") & mask
+        if x < n:
+            return x
+
+
+def generator_sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> NrtMatrix:
+    """sample_error as numpy Generator calls: one uniform_below per column
+    for its weight, then integers(1, p) for its top entry and
+    integers(0, p, size=u-1) for the entries below it."""
+    if rng is None:
+        rng = spec.rng()
+    gf = PrimeField(spec.p)
+    s, r, p = spec.s, spec.r, spec.p
+    entries = np.zeros((s, r), dtype=gf.dtype)
+    remaining = spec.weight
+    table = _tail_counts(p, s, r, spec.weight)
+    col_counts = [count_matrices_of_weight(s, p, u) for u in range(s + 1)]
+    for j in range(r):
+        tail = table[r - 1 - j]
+        draw = uniform_below(rng, table[r - j][remaining])
+        u = 0
+        while True:
+            bucket = col_counts[u] * tail[remaining - u]
+            if draw < bucket:
+                break
+            draw -= bucket
+            u += 1
+        if u > 0:
+            entries[s - u, j] = int(rng.integers(1, p))
+            if u > 1:
+                # Plain ints so object arrays never hold numpy scalars.
+                entries[s - u + 1 :, j] = [int(x) for x in rng.integers(0, p, size=u - 1)]
+        remaining -= u
+    return NrtMatrix(gf, entries)

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import random
+import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from hrscodes import (
@@ -20,8 +23,12 @@ from hrscodes import (
     run_trials,
     sample_error,
 )
-from hrscodes.channel import _stream
-from reference import column_weight, count_error_matrices
+from hrscodes import channel
+from hrscodes.channel import _stream, _table_fits, _tail_counts
+from reference import column_weight, count_error_matrices, generator_sample_error
+
+MODULI = (2, 3, 5, 7, 101, 2**31 - 1, 2**32 + 15, 2**61 - 1)
+BIT_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
 class TestCounting:
@@ -149,6 +156,132 @@ class TestSampling:
         flat = [int(v) for row in err.to_lists() for v in row]
         assert all(0 <= v < p for v in flat)
         assert any(v > (1 << 32) for v in flat)  # draws use the full range
+
+
+def draw_digest() -> str:
+    """sha256 over seeded sample_error matrices (seven moduli from 2 to
+    2**61 - 1, shapes 1x1 to 4x3 at every weight, seeds below and at or above
+    2**63, six draws from one shared stream per modulus) and run_trials
+    reports."""
+    digest = hashlib.sha256()
+    seeds = (0, 11, 2**63 - 1, 2**63, 2**64 - 3, -5)
+    for p in (2, 3, 7, 101, 2**31 - 1, 2**32 + 15, 2**61 - 1):
+        for s, r in ((1, 1), (2, 3), (3, 2), (1, 6), (4, 3)):
+            for weight in range(s * r + 1):
+                for seed in seeds[weight % 3 :: 3]:
+                    spec = ChannelSpec(p=p, s=s, r=r, weight=weight, seed=seed)
+                    record = (p, s, r, weight, seed, sample_error(spec).to_lists())
+                    digest.update(repr(record).encode())
+        spec = ChannelSpec(p=p, s=4, r=9, weight=17, seed=2**63 + p)
+        rng = spec.rng()
+        for _ in range(6):
+            digest.update(repr(sample_error(spec, rng).to_lists()).encode())
+    params = CodeParams(PrimeField(7), 4, 2, 4, [1, 2, 3, 4])
+    for seed in (3, 2**63 + 3):
+        for weight in (2, 4):
+            report = run_trials(params, weight=weight, trials=20, seed=seed)
+            record = (seed, report.weight, report.successes, sorted(report.failures.items()))
+            digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+def test_draws_pinned():
+    """Every draw of draw_digest, byte for byte, as the sampler written
+    with Generator.bytes and Generator.integers calls made them."""
+    assert draw_digest() == "12f89d1e2dfdb46f254dd72e42af1c9200c30990666ab50da1fe9de4ca775038"
+
+
+class TestAgainstGeneratorSampler:
+    """sample_error reads raw bit-generator words; the oracle makes the same
+    draws through numpy Generator calls.  Both must give equal matrices and
+    leave the generator in an equal state."""
+
+    @staticmethod
+    def assert_same_draws(make, specs, warm_up=None):
+        ours, theirs = make(), make()
+        if warm_up is not None:
+            warm_up(ours)
+            warm_up(theirs)
+        for spec in specs:
+            assert sample_error(spec, ours) == generator_sample_error(spec, theirs), spec
+            assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state), spec
+        # The caller's stream continues as it would have.
+        after = [g.integers(0, 2**40, size=3).tolist() for g in (ours, theirs)]
+        assert after[0] == after[1]
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("p", MODULI)
+    def test_every_weight(self, bit_generator, p):
+        shapes = ((1, 1), (2, 1), (1, 3), (3, 2), (2, 5), (2, 12))
+        if bit_generator is np.random.Philox:
+            shapes += ((2, 40),)
+        for seed, (s, r) in enumerate(shapes):
+            specs = [ChannelSpec(p=p, s=s, r=r, weight=w) for w in range(s * r + 1)]
+            self.assert_same_draws(lambda: np.random.Generator(bit_generator(seed)), specs)
+
+    @pytest.mark.parametrize("p", MODULI)
+    def test_odd_number_of_words_consumed(self, p):
+        # integers(0, 7, size=3) reads three uint32 words and leaves the
+        # high half of the second raw word in the buffer.
+        specs = [ChannelSpec(p=p, s=3, r=4, weight=w) for w in (0, 1, 5, 12, 7)]
+        for seed in (0, 2**63 - 1):
+            self.assert_same_draws(
+                lambda: _stream(seed, 1), specs, lambda g: g.integers(0, 7, size=3)
+            )
+
+    def test_range_of_one_reads_one_word(self):
+        # At weight 0 every column draws from [0, 1): Generator.bytes(0)
+        # still reads one uint32 word.
+        spec = ChannelSpec(p=101, s=2, r=3, weight=0)
+        ours, theirs = _stream(4, 0), _stream(4, 0)
+        sample_error(spec, ours)
+        for _ in range(3):
+            theirs.bytes(0)
+        assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
+
+    def test_integers_1_2_reads_no_word(self):
+        # Over GF(2) the single 1x1 matrix of weight 1 is [[1]]: one word for
+        # its weight draw from [0, 1), none for integers(1, 2).
+        spec = ChannelSpec(p=2, s=1, r=1, weight=1)
+        ours, theirs = _stream(4, 0), _stream(4, 0)
+        assert sample_error(spec, ours).to_lists() == [[1]]
+        theirs.bytes(0)
+        assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
+
+    def test_32_bit_bit_generator_refused(self):
+        spec = ChannelSpec(p=7, s=2, r=2, weight=1)
+        with pytest.raises(ParameterError, match="MT19937"):
+            sample_error(spec, np.random.Generator(np.random.MT19937(1)))
+
+
+class TestTailTableCap:
+    def test_legal_job_past_the_cap_is_refused(self):
+        # r*s = 2048 is a legal code length; this table would take GBs.
+        with pytest.raises(ParameterError, match="160 MiB"):
+            ChannelSpec(p=2**61 - 1, s=1, r=2048, weight=1024)
+        with pytest.raises(ParameterError, match="160 MiB"):
+            ChannelSpec(p=3, s=1, r=10**9, weight=0)
+
+    def test_benchmark_codes_fit(self):
+        # decode-n256, decode-bigp-n64 and the simulate-sweep codes up to
+        # weight radius + 2 (the test and acceptance codes fit, or their
+        # ChannelSpec would raise).
+        codes = ((101, 4, 64, 64), (2**61 - 1, 4, 16, 16))
+        for p, s, r, w in codes + ((7, 3, 7, 9), (101, 3, 10, 11), (101, 3, 16, 14)):
+            assert _table_fits(p, s, r, w)
+
+    @pytest.mark.parametrize(
+        "p, s, r, w", [(2**61 - 1, 1, 64, 32), (3, 8, 16, 100), (101, 4, 30, 60)]
+    )
+    def test_estimate_bounds_the_table(self, monkeypatch, p, s, r, w):
+        table = _tail_counts.__wrapped__(p, s, r, w)
+        size = sys.getsizeof(table) + sum(
+            sys.getsizeof(row) + sum(sys.getsizeof(x) for x in row if x > 256) for row in table
+        )
+        monkeypatch.setattr(channel, "_MAX_TABLE_BYTES", size - 1)
+        assert not _table_fits(p, s, r, w)
+        monkeypatch.setattr(channel, "_MAX_TABLE_BYTES", 2 * size)
+        assert _table_fits(p, s, r, w)
 
 
 class TestTrials:

@@ -216,6 +216,16 @@ class TestErrorPaths:
         assert code == 2
         assert "code length r*s = 2053 exceeds the limit 2048" in err
 
+    def test_tail_table_cap(self, tmp_path, capsys):
+        # A legal code (rs = 2048) whose weight-1024 tail-count table would
+        # take GBs is refused before the table is built.
+        path = tmp_path / "j.json"
+        job = {"p": 2**61 - 1, "r": 2048, "s": 1, "t": 1, "alphas": list(range(2048))}
+        path.write_text(json.dumps({**job, "matrix": [[0] * 2048], "weight": 1024}))
+        code, out, err = run(capsys, ["corrupt", "--job", str(path)])
+        assert code == 2 and out == ""
+        assert "tail-count table" in err and "exceeds 160 MiB" in err
+
     def test_budget_exceeded(self, tmp_path, capsys):
         job = write_job(tmp_path, "j.json", budget=10)
         code, _, err = run(capsys, ["mindist", "--job", job])
