@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decoder import DecodeSuccess, FailureReason, decode
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .field import PrimeField
 from .hrs import CodeParams, encode
 from .nrt import NrtMatrix
@@ -45,9 +45,13 @@ class ChannelSpec:
     r: int
     weight: int
     seed: int = 0
+    # The field of p, validated once here for every draw of the spec.
+    field: PrimeField = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        PrimeField(self.p)
+        for name in ("p", "s", "r", "weight", "seed"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        object.__setattr__(self, "field", PrimeField(self.p))
         if self.s < 1 or self.r < 1:
             raise ParameterError(f"matrix shape must be positive, got {self.s}x{self.r}")
         if not 0 <= self.weight <= self.s * self.r:
@@ -170,9 +174,8 @@ def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> N
     if rng is None:
         rng = spec.rng()
     words = _Words(rng.bit_generator)
-    gf = PrimeField(spec.p)
     s, r, p = spec.s, spec.r, spec.p
-    entries = np.zeros((s, r), dtype=gf.dtype)
+    entries = np.zeros((s, r), dtype=spec.field.dtype)
     remaining = spec.weight
     table = _tail_counts(p, s, r, spec.weight)
     col_counts = [count_matrices_of_weight(s, p, u) for u in range(s + 1)]
@@ -187,7 +190,7 @@ def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> N
             entries[s - u :, j] = [1 + words.below(p - 1, 1)[0], *words.below(p, u - 1)]
         remaining -= u
     words.close()
-    return NrtMatrix(gf, entries)
+    return NrtMatrix(spec.field, entries)
 
 
 @dataclass(frozen=True)
@@ -223,6 +226,7 @@ def run_trials(params: CodeParams, weight: int, trials: int, seed: int) -> Trial
     "miscorrected"; the CSV row derives it as trials minus the other
     columns.
     """
+    trials = require_int(trials, "trials")
     if trials < 0:
         raise ParameterError(f"trial count must be non-negative, got {trials}")
     spec = ChannelSpec(p=params.p, s=params.s, r=params.r, weight=weight, seed=seed)
@@ -235,7 +239,7 @@ def run_trials(params: CodeParams, weight: int, trials: int, seed: int) -> Trial
     successes = 0
     elapsed = 0.0
     for index in range(trials):
-        rng = _stream(seed, index)
+        rng = _stream(spec.seed, index)
         coeffs = [int(c) for c in rng.integers(0, params.p, size=params.t)]
         message = Poly(params.field, coeffs)
         noisy = encode(params, message) + sample_error(spec, rng)
@@ -251,7 +255,7 @@ def run_trials(params: CodeParams, weight: int, trials: int, seed: int) -> Trial
             counts[outcome.reason.value] += 1
     mean_us = elapsed / trials * 1e6 if trials else 0.0
     return TrialReport(
-        weight=weight,
+        weight=spec.weight,
         trials=trials,
         successes=successes,
         failures=counts,

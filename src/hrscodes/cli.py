@@ -15,8 +15,7 @@ import sys
 
 from .channel import CSV_HEADER, ChannelSpec, run_trials, sample_error
 from .decoder import DecodeSuccess, decode
-from .errors import BudgetExceededError
-from .errors import ParameterError
+from .errors import BudgetExceededError, ParameterError, require_int
 from .hrs import (
     DEFAULT_BUDGET,
     CodeParams,
@@ -53,18 +52,12 @@ def _require(job: dict, key: str):
     return job[key]
 
 
-def _as_int(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{label} must be an integer, got {value!r}")
-    return value
-
-
 def _reduce_ints(p: int, values, label: str) -> list[int]:
     """Reduce a flat list into [0, p), warning once if anything was out."""
     out = []
     clipped = 0
     for v in values:
-        v = _as_int(v, label)
+        v = require_int(v, label)
         if not 0 <= v < p:
             clipped += 1
         out.append(v % p)
@@ -84,10 +77,8 @@ def _reduce_rows(p: int, raw, label: str) -> list[list[int]]:
 
 
 def _params_from_job(job: dict) -> CodeParams:
-    p = _as_int(_require(job, "p"), "p")
-    r = _as_int(_require(job, "r"), "r")
-    s = _as_int(_require(job, "s"), "s")
-    t = _as_int(_require(job, "t"), "t")
+    p = require_int(_require(job, "p"), "p")
+    r, s, t = _require(job, "r"), _require(job, "s"), _require(job, "t")
     alphas = _require(job, "alphas")
     if not isinstance(alphas, list):
         raise ParameterError("'alphas' must be a list")
@@ -128,10 +119,7 @@ def _cmd_encode(job: dict, out) -> int:
 def _cmd_decode(job: dict, out) -> int:
     params = _params_from_job(job)
     y = _matrix_from_job(params, job)
-    e = job.get("e")
-    if e is not None:
-        e = _as_int(e, "e")
-    outcome = decode(params, y, e)
+    outcome = decode(params, y, job.get("e"))
     if isinstance(outcome, DecodeSuccess):
         payload = {
             "status": "ok",
@@ -147,8 +135,7 @@ def _cmd_decode(job: dict, out) -> int:
 def _cmd_corrupt(job: dict, out) -> int:
     params = _params_from_job(job)
     y = _matrix_from_job(params, job)
-    weight = _as_int(_require(job, "weight"), "weight")
-    seed = _as_int(job.get("seed", 0), "seed")
+    weight, seed = _require(job, "weight"), job.get("seed", 0)
     spec = ChannelSpec(p=params.p, s=params.s, r=params.r, weight=weight, seed=seed)
     error = sample_error(spec)
     payload = {"error": _matrix_json(error), "corrupted": _matrix_json(y + error)}
@@ -165,10 +152,8 @@ def _cmd_interpolate(job: dict, out) -> int:
 
 def _cmd_simulate(job: dict, out) -> int:
     params = _params_from_job(job)
-    weight = _as_int(_require(job, "weight"), "weight")
-    trials = _as_int(job.get("trials", 100), "trials")
-    seed = _as_int(job.get("seed", 0), "seed")
-    report = run_trials(params, weight, trials, seed)
+    weight, trials = _require(job, "weight"), job.get("trials", 100)
+    report = run_trials(params, weight, trials, job.get("seed", 0))
     print(CSV_HEADER, file=out)
     print(report.csv_row(), file=out)
     return 0
@@ -176,7 +161,7 @@ def _cmd_simulate(job: dict, out) -> int:
 
 def _cmd_mindist(job: dict, out) -> int:
     params = _params_from_job(job)
-    budget = _as_int(job.get("budget", DEFAULT_BUDGET), "budget")
+    budget = require_int(job.get("budget", DEFAULT_BUDGET), "budget")
     d = brute_force_min_distance(params, budget)
     singleton = params.r * params.s - params.t + 1
     print(json.dumps({"min_distance": d, "mds": d == singleton}), file=out)

@@ -32,9 +32,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .field import PrimeField
-from .hrs import CodeParams, _check_received, decoding_radius, encode, hermite_interpolate
+from .hrs import CodeParams, _check_received, encode, hermite_interpolate
 from .nrt import NrtMatrix, nrt_distance
 from .poly import Poly, _divmod, _trim
 
@@ -65,10 +65,16 @@ class DecodeFailure:
     ok = False
 
 
-def _check_bound(params: CodeParams, e: int) -> None:
-    radius = decoding_radius(params)
+def decoding_radius(params: CodeParams) -> int:
+    """Largest error weight with a guaranteed unique decoding: (rs-t)//2."""
+    return (params.r * params.s - params.t) // 2
+
+
+def _check_bound(params: CodeParams, e: int) -> int:
+    e, radius = require_int(e, "e"), decoding_radius(params)
     if not 0 <= e <= radius:
         raise ParameterError(f"error bound {e} outside [0, {radius}]")
+    return e
 
 
 def _unscaled(params: CodeParams, y: NrtMatrix) -> NrtMatrix:
@@ -111,7 +117,7 @@ def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
     _check_received(params, y)
     if e is None:
         e = decoding_radius(params)
-    _check_bound(params, e)
+    e = _check_bound(params, e)
     field, t = params.field, params.t
     h = hermite_interpolate(params, _unscaled(params, y))
     g = params._interpolation_tables()[0]

@@ -5,12 +5,13 @@ polynomials of degree < t, and the codeword of f is the s x r matrix with
 entry (i, j) = v_{i,j} * (order-(i-1) hyperderivative of f)(alpha_j).
 
 The entries C(k, i) * alpha_j**(k-i) live in one cached table
-(CodeParams.derivative_table), read by the encoder.  Besides the encoder
-this module provides Hermite interpolation (the inverse of the all-ones
-encoder on full-length messages) and the exhaustive minimum-distance scan
-behind the CLI's mindist; its budget may not pass 2**63 - 1, since
-messages are numbered in int64.  The encoder and the scan's batched
-re-encoding are each one exact GF(p) matrix product, poly._dot.
+(CodeParams.derivative_table), which feeds both the encoder and the Hermite
+tables.  Besides the encoder this module provides Hermite interpolation
+(the inverse of the all-ones encoder on full-length messages) and the
+exhaustive minimum-distance scan behind the CLI's mindist; its budget may
+not pass 2**63 - 1, since messages are numbered in int64.  The encoder and
+the scan's batched re-encoding are each one exact GF(p) matrix product,
+poly._dot.
 
 Hermite interpolation is one product with a cached basis: entry (i, j) of
 the basis is the polynomial of degree < rs whose only nonzero
@@ -20,13 +21,14 @@ Q_j = G / Z**s, where G = prod_j (X - alpha_j)**s; G is cached beside it
 and is the modulus of the decoder's key equation.  The basis is built once
 per code with the array kernel of the poly module (poly._mul for the
 product tree of G, the Horner steps and the basis recurrence, poly._divmod
-for every Q_j at once, then Taylor series and their inverses), so an
-interpolation is one (rs)-by-(rs) vector-matrix product, poly._dot.
+for every Q_j at once, then the Taylor coefficients of each Q_j from the
+derivative table and their series inverses), so an interpolation is one
+(rs)-by-(rs) vector-matrix product, poly._dot.
 """
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, ParameterError, require_int
 from .field import PrimeField
 from .nrt import NrtMatrix, column_weights
 from .poly import Poly, _divmod, _dot, _mul
@@ -40,11 +42,11 @@ _BATCH = 1 << 15
 # The scans number messages in int64, so p**t may not pass 2**63 - 1.
 _MAX_BUDGET = (1 << 63) - 1
 
-# Largest code length r*s.  The biggest cached tables (the Hermite basis,
-# and the derivative table of width t + radius <= rs) hold up to (rs)**2
-# entries: at 2048 that is 4,194,304 entries, 32 MiB on the int64 path and
-# about 160 MiB on the object path (an 8-byte pointer plus a 32-byte int per
-# entry), while a code past it could ask for tens of GB.
+# Largest code length r*s.  The two biggest cached tables, the Hermite basis
+# and the derivative table, hold (rs)**2 entries each: at 2048 that is
+# 4,194,304 entries, 32 MiB on the int64 path and about 160 MiB on the
+# object path (an 8-byte pointer plus a 32-byte int per entry), while a code
+# past it could ask for tens of GB.
 MAX_CODE_LENGTH = 2048
 
 
@@ -52,10 +54,8 @@ class CodeParams:
     """Validated parameters of one HRS code, with cached lookup tables."""
 
     def __init__(self, p, r: int, s: int, t: int, alphas, multipliers=None):
-        field = p if isinstance(p, PrimeField) else PrimeField(p)
-        for name, value in (("r", r), ("s", s), ("t", t)):
-            if not isinstance(value, int):
-                raise ParameterError(f"{name} must be an int, got {type(value).__name__}")
+        field = p if isinstance(p, PrimeField) else PrimeField(require_int(p, "p"))
+        r, s, t = require_int(r, "r"), require_int(s, "s"), require_int(t, "t")
         if not 1 <= s <= field.p:
             raise ParameterError(f"s must satisfy 1 <= s <= p, got s={s}, p={field.p}")
         if not 1 <= r <= field.p:
@@ -91,8 +91,6 @@ class CodeParams:
         self.multipliers = v
         self.unit_multipliers = bool(np.all(v == 1))
         self._alpha_vec = np.array(alphas, dtype=field.dtype)
-        self._pow = None
-        self._binom = None
         self._deriv = None
         self._enc = None
         self._vinv = None
@@ -121,57 +119,33 @@ class CodeParams:
 
     # -- cached tables --------------------------------------------------------
 
-    def power_table(self, count: int) -> np.ndarray:
-        """Array of shape (r, count) with entry (j, k) = alpha_j ** k; at least
-        r*s columns are built, enough for every table of the code."""
-        if self._pow is None or self._pow.shape[1] < count:
-            n = max(count, self.r * self.s)
-            tab = np.ones((self.r, n), dtype=self.field.dtype)
-            # Columns [k, 2k) are columns [0, k) times alpha**k.
-            step = self._alpha_vec[:, np.newaxis]
-            k = 1
-            while k < n:
-                tab[:, k : 2 * k] = tab[:, : min(k, n - k)] * step % self.p
-                step = step * step % self.p
-                k *= 2
-            tab.flags.writeable = False
-            self._pow = tab
-        return self._pow[:, :count]
-
-    def binomial_table(self, kmax: int, jmax: int) -> np.ndarray:
-        """Array of shape (kmax, jmax) with entry (k, j) = C(k, j) mod p; at
-        least (r*s, s) is built, enough for every table of the code."""
-        cached = self._binom
-        if cached is None or cached.shape[0] < kmax or cached.shape[1] < jmax:
-            n, m = max(kmax, self.r * self.s), max(jmax, self.s)
-            if cached is not None:
-                n, m = max(n, cached.shape[0]), max(m, cached.shape[1])
-            tab = np.zeros((n, m), dtype=self.field.dtype)
-            tab[:, 0] = 1
-            for j in range(1, m):
-                # Hockey stick: C(k, j) = sum of C(j-1 .. k-1, j-1).
-                tab[j:, j] = np.cumsum(tab[j - 1 : n - 1, j - 1]) % self.p
-            tab.flags.writeable = False
-            self._binom = tab
-        return self._binom[:kmax, :jmax]
-
     def derivative_table(self) -> np.ndarray:
-        """Array of shape (s, r, t + radius) with entry (i, j, k) the
-        order-i hyperderivative of X**k at alpha_j: C(k, i) * alpha_j**(k-i),
-        and 0 for k < i.
+        """Array of shape (s, r, rs) with entry (i, j, k) the order-i
+        hyperderivative of X**k at alpha_j: C(k, i) * alpha_j**(k-i), and 0
+        for k < i.
 
-        The encoder reads the first t columns; the dense key-equation
-        system of tests/reference.py, for error bound e, reads the first
-        e + t <= t + radius.
+        The encoder reads the first t columns, the Taylor step of the Hermite
+        tables the first rs - s + 1, and the dense key-equation system of
+        tests/reference.py, for error bound e, the first e + t.
         """
         if self._deriv is None:
             s, r, p = self.s, self.r, self.p
-            width = self.t + decoding_radius(self)
-            pow_tab = self.power_table(width)
-            binom = self.binomial_table(width, s)
-            tab = np.zeros((s, r, width), dtype=self.field.dtype)
-            for i in range(min(s, width)):
-                tab[i, :, i:] = pow_tab[:, : width - i] * binom[i:, i] % p
+            n = r * s
+            tab = np.zeros((s, r, n), dtype=self.field.dtype)
+            # Row 0 holds the powers: columns [k, 2k) are columns [0, k)
+            # times alpha**k.
+            tab[0, :, 0] = 1
+            step = self._alpha_vec[:, np.newaxis]
+            k = 1
+            while k < n:
+                tab[0, :, k : 2 * k] = tab[0, :, : min(k, n - k)] * step % p
+                step = step * step % p
+                k *= 2
+            binom = np.ones(n, dtype=tab.dtype)  # C(k, 0)
+            for i in range(1, s):
+                # Hockey stick: C(k, i) = sum of C(i-1 .. k-1, i-1), k >= i.
+                binom[i:] = np.cumsum(binom[i - 1 : n - 1]) % p
+                tab[i, :, i:] = tab[0, :, : n - i] * binom[i:] % p
             tab.flags.writeable = False
             self._deriv = tab
         return self._deriv
@@ -212,14 +186,12 @@ class CodeParams:
             g = g[0, : n + 1]
 
             # Q_j = G / (X - alpha_j)**s, all j in one division, and its
-            # Taylor coefficients at alpha_j.
+            # Taylor coefficients at alpha_j: coefficient i is the order-i
+            # hyperderivative, sum_k Q_jk * C(k, i) * alpha_j**(k-i).
             m = n - s + 1
             quot = _divmod(np.tile(g, (r, 1)), local, p)[0]
-            pow_tab, binom = self.power_table(m), self.binomial_table(m, s)
-            taylor = np.zeros((r, s), dtype=g.dtype)
-            for i in range(min(s, m)):
-                terms = quot[:, i:] * pow_tab[:, : m - i] % p * binom[i:, i] % p
-                taylor[:, i] = terms.sum(axis=1) % p
+            deriv = self.derivative_table()[:, :, :m]
+            taylor = np.stack([(quot * d % p).sum(axis=1) % p for d in deriv], axis=1)
 
             # inv = 1 / Q_j(alpha_j + Z) mod Z**s, expanded back into powers
             # of X as poly = inv(X - alpha_j).
@@ -256,11 +228,6 @@ class CodeParams:
             inv.flags.writeable = False
             self._vinv = inv
         return self._vinv
-
-
-def decoding_radius(params: CodeParams) -> int:
-    """Largest error weight with a guaranteed unique decoding: (rs-t)//2."""
-    return (params.r * params.s - params.t) // 2
 
 
 def _check_message(params: CodeParams, f: Poly) -> None:

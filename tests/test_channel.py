@@ -72,6 +72,11 @@ class TestCounting:
             ChannelSpec(p=7, s=2, r=2, weight=5)
         with pytest.raises(ParameterError):
             ChannelSpec(p=7, s=2, r=2, weight=-1)
+        for name, value in (("seed", 1.5), ("s", 2.0), ("weight", 2.0), ("seed", True)):
+            with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+                ChannelSpec(**{"p": 7, "s": 2, "r": 2, "weight": 1, name: value})
+        spec = ChannelSpec(*np.array([7, 2, 2, 1, 5]))
+        assert spec == ChannelSpec(7, 2, 2, 1, 5) and type(spec.seed) is int
 
 
 class TestSampling:
@@ -321,6 +326,8 @@ class TestTrials:
             run_trials(golden_params, weight=1, trials=-1, seed=0)
         with pytest.raises(ParameterError):
             run_trials(golden_params, weight=9, trials=1, seed=0)
+        with pytest.raises(ParameterError, match="trials must be an integer"):
+            run_trials(golden_params, weight=1, trials=3.0, seed=0)
 
 
 class TestCsv:

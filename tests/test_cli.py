@@ -1,8 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
-
-import pytest
+import sys
+from pathlib import Path
 
 from hrscodes import CSV_HEADER
 from hrscodes.cli import main
@@ -188,6 +189,22 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["encode", "--job", job, "--param", "e=two"])
         assert code == 2 and "integer" in err
 
+    def test_non_integer_keys(self, tmp_path, capsys):
+        cases = (
+            ("encode", {"t": 4.0, "poly": GOLDEN_MESSAGE}, "t"),
+            ("encode", {"r": True, "poly": GOLDEN_MESSAGE}, "r"),
+            ("decode", {"matrix": GOLDEN_RECEIVED, "e": 2.0}, "e"),
+            ("corrupt", {"matrix": GOLDEN_RECEIVED, "weight": 1, "seed": 1.5}, "seed"),
+            ("simulate", {"weight": "1"}, "weight"),
+            ("simulate", {"weight": 1, "trials": 3.0}, "trials"),
+            ("simulate", {"weight": 1, "seed": True}, "seed"),
+        )
+        for command, extra, key in cases:
+            job = write_job(tmp_path, "j.json", **extra)
+            code, out, err = run(capsys, [command, "--job", job])
+            assert code == 2 and out == ""
+            assert f"{key} must be an integer" in err
+
     def test_multipliers_not_rows(self, tmp_path, capsys):
         job = write_job(tmp_path, "j.json", poly=GOLDEN_MESSAGE, multipliers=[1, 2])
         code, _, err = run(capsys, ["encode", "--job", job])
@@ -252,15 +269,25 @@ class TestPipeline:
         assert result["error_weight"] == 2
 
 
-@pytest.mark.skipif(shutil.which("hrscodes") is None, reason="entry point not on PATH")
 def test_console_script(tmp_path):
+    """The installed entry point, or else `python -m hrscodes.cli` on this
+    checkout's sources, run as a real process."""
+    env = dict(os.environ)
+    if shutil.which("hrscodes"):
+        command = ["hrscodes"]
+    else:
+        command = [sys.executable, "-m", "hrscodes.cli"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def encode_job(path):
+        argv = [*command, "encode", "--job", str(path)]
+        return subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+
     path = tmp_path / "j.json"
     path.write_text(json.dumps({**GOLDEN_JOB, "poly": GOLDEN_MESSAGE}))
-    proc = subprocess.run(
-        ["hrscodes", "encode", "--job", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = encode_job(path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == GOLDEN_CODEWORD
+    proc = encode_job(tmp_path / "missing.json")
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ")

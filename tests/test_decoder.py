@@ -227,6 +227,10 @@ class TestDecode:
             decode(golden_params, golden_received, 3)
         with pytest.raises(ParameterError):
             decode(golden_params, golden_received, -1)
+        for e in (2.0, True):
+            with pytest.raises(ParameterError, match="e must be an integer"):
+                decode(golden_params, golden_received, e)
+        assert decode(golden_params, golden_received, np.int64(2)).ok
 
     def test_roundtrip_with_multipliers(self):
         rnd = random.Random(21)

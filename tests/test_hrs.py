@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 
 import numpy as np
@@ -12,6 +14,7 @@ from hrscodes import (
     Poly,
     PrimeField,
     brute_force_min_distance,
+    decoding_radius,
     encode,
     hermite_interpolate,
     nrt_distance,
@@ -72,12 +75,16 @@ class TestCodeParams:
             CodeParams(6, 2, 1, 2, [0, 1])
         with pytest.raises(ParameterError):
             CodeParams(5, 2, 1, 2.0, [0, 1])
+        with pytest.raises(ParameterError, match="t must be an integer"):
+            CodeParams(5, 2, 1, True, [0, 1])
 
     def test_basics(self):
         params = CodeParams(7, 4, 2, 4, [1, 2, 3, 4])
         assert params.p == 7 and params.unit_multipliers
         assert params == CodeParams(PrimeField(7), 4, 2, 4, [8, 2, 3, 4])
         assert params != CodeParams(7, 4, 2, 3, [1, 2, 3, 4])
+        numpy_ints = CodeParams(*np.array([7, 4, 2, 4]), [1, 2, 3, 4])
+        assert numpy_ints == params and type(numpy_ints.t) is int
         v = [[2, 2, 2, 2], [3, 3, 3, 3]]
         scaled = CodeParams(7, 4, 2, 4, [1, 2, 3, 4], v)
         assert not scaled.unit_multipliers
@@ -85,38 +92,75 @@ class TestCodeParams:
         assert (scaled.multipliers * inv % 7 == 1).all()
 
     def test_tables(self):
+        # Row 0 of the derivative table is the powers alpha_j**k.
         params = CodeParams(7, 3, 2, 4, [1, 3, 5])
-        tab = params.power_table(5)
+        tab = params.derivative_table()[0, :, :5]
         assert tab.tolist() == [[1, 1, 1, 1, 1], [1, 3, 2, 6, 4], [1, 5, 4, 6, 2]]
-        # rs = 6 columns are built at least; counts off powers of two and
-        # past rs.
+        # All rs columns, on codes whose rs is mostly not a power of two.
         for p in (2, 7, 2**31 - 1, 2**61 - 1):
-            alphas = [0, 1, p - 1] if p > 2 else [0, 1]
-            code = CodeParams(p, len(alphas), 2, 3, alphas)
-            for count in (1, 3, 6, 7, 13, 16, 37):
-                want = [[pow(a, k, p) for k in range(count)] for a in alphas]
-                assert code.power_table(count).tolist() == want
-        binom = params.binomial_table(6, 3)
-        import math
-
-        want = [[math.comb(k, j) % 7 for j in range(3)] for k in range(6)]
-        assert binom.tolist() == want
-        # growth keeps earlier slices intact
-        assert params.binomial_table(9, 2).tolist() == [
-            [math.comb(k, j) % 7 for j in range(2)] for k in range(9)
-        ]
-        # Derivative table: t + radius = 4 + 2 columns, the last two read
-        # only by the decoder; entries with k < i are zero.
+            for r, s in ((2, 1), (1, 2), (3, 1), (7, 1), (13, 1), (37, 1), (1, 3), (7, 3)):
+                if r > p or s > p:
+                    continue
+                alphas = list(dict.fromkeys([0, 1, p - 1, *range(2, 40)]))[:r]
+                code = CodeParams(p, r, s, 1, alphas)
+                want = [[pow(a, k, p) for k in range(r * s)] for a in alphas]
+                assert code.derivative_table()[0].tolist() == want
+        # At alpha = 1, row i is C(k, i) mod p, here with k past p.
+        for p, r, s in ((7, 3, 2), (7, 3, 3), (2, 2, 2), (3, 3, 3)):
+            code = CodeParams(p, r, s, 1, range(1, r + 1) if p > r else range(r))
+            j = code.alphas.index(1)
+            want = [[math.comb(k, i) % p for k in range(r * s)] for i in range(s)]
+            assert code.derivative_table()[:, j].tolist() == want
+        # Derivative table: rs = 9 columns, entries with k < i are zero.
         for p in (7, 2**61 - 1):
             code = CodeParams(p, 3, 3, 4, [0, 2, p - 1])
             deriv = code.derivative_table()
-            assert deriv.shape == (3, 3, 6) and not deriv.flags.writeable
+            assert deriv.shape == (3, 3, 9) and not deriv.flags.writeable
             assert not deriv[1, :, :1].any() and not deriv[2, :, :2].any()
-            for k in range(6):
+            for k in range(9):
                 xk = monomial(code.field, k)
                 for i in range(3):
                     for j, alpha in enumerate(code.alphas):
                         assert deriv[i, j, k] == evaluate(hyperderivative(xk, i), alpha)
+
+
+def table_codes(rnd):
+    """Eight seeded codes per field path: s = p or r = p on the first four
+    where p allows, 0 among the points on every other code, t = rs on every
+    fourth, non-unit multipliers on half."""
+    for p in (2, 3, 7, 101, 2**31 - 1, 2**61 - 1):
+        for index in range(8):
+            if p <= 7 and index < 4:
+                low = rnd.randint(1, min(p, 3))
+                r, s = (p, low) if index % 2 else (low, p)
+            else:
+                r, s = rnd.randint(1, min(p, 8)), rnd.randint(1, min(p, 4))
+            t = r * s if index % 4 == 0 else rnd.randint(1, r * s)
+            pool = range(min(p, 10**6))
+            alphas = [0] + rnd.sample(pool[1:], r - 1) if index % 2 == 0 else rnd.sample(pool, r)
+            multipliers = None
+            if index % 4 in (1, 2):
+                multipliers = [[rnd.randrange(1, p) for _ in range(r)] for _ in range(s)]
+            yield CodeParams(p, r, s, t, alphas, multipliers)
+
+
+def table_digest():
+    """sha256 over G, the Hermite basis, the encoding matrix and the first
+    t + radius columns of the derivative table of every table_codes code."""
+    digest = hashlib.sha256()
+    for params in table_codes(random.Random(31)):
+        g, basis = params._interpolation_tables()
+        width = params.t + decoding_radius(params)
+        tables = (g, basis, params.encoding_matrix(), params.derivative_table()[:, :, :width])
+        for tab in tables:
+            digest.update(repr((tab.shape, tab.tolist())).encode())
+    return digest.hexdigest()
+
+
+def test_tables_pinned():
+    """The tables of table_codes, byte for byte as the separate power and
+    binomial caches built them."""
+    assert table_digest() == "5ea24ed57a31d448ae6534c8434bb055c8f86b00fa3b97398ace345c78ee05c1"
 
 
 class TestEncode:
