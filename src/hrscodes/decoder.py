@@ -90,12 +90,16 @@ def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
     r_j = t_j * h (mod g), as trimmed coefficient arrays, low degree first.
 
     Each remainder carries its cofactor below it as w_i = t_i + X**m * r_i
-    with m = len(g).  Since deg t_{i+1} = deg g - deg r_i < m, the remainder
-    of w_{i-1} divided by w_i is w_{i+1} = w_{i-1} - q_i * w_i, where q_i is
-    the quotient of r_{i-1} by r_i: one division updates both.  w_i is
-    passed as it is; _divmod inverts its leading coefficient.
+    with m = len(g) - stop.  While the loop runs, deg r_i >= stop, so
+    deg t_{i+1} = deg g - deg r_i < m: the cofactor never reaches the
+    remainder part.  And deg t_i + deg q_i = deg g - deg r_i < m + deg r_i,
+    where q_i is the quotient of r_{i-1} by r_i, so q_i * t_i stays below
+    the leading term of w_i and the quotient of w_{i-1} by w_i is q_i too.
+    Hence the remainder of w_{i-1} divided by w_i is
+    w_{i+1} = w_{i-1} - q_i * w_i: one division updates both.  w_i is passed
+    as it is; _divmod inverts its leading coefficient.
     """
-    p, m = field.p, len(g)
+    p, m = field.p, len(g) - stop
     w0 = np.concatenate([np.zeros(m, dtype=g.dtype), g])
     w1 = np.concatenate([np.eye(1, m, dtype=g.dtype)[0], _trim(h)])
     while len(w1) - m > stop:

@@ -57,8 +57,9 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int):
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
             raise TypeError(f"modulus must be an int, got {type(p).__name__}")
+        p = int(p)
         if not 2 <= p < MAX_MODULUS:
             raise ValueError(f"modulus must satisfy 2 <= p < 2**61, got {p}")
         if not is_prime(p):

@@ -24,6 +24,11 @@ product tree of G, the Horner steps and the basis recurrence, poly._divmod
 for every Q_j at once, then the Taylor coefficients of each Q_j from the
 derivative table and their series inverses), so an interpolation is one
 (rs)-by-(rs) vector-matrix product, poly._dot.
+
+The two tables only poly._dot reads, the basis and the encoding matrix, are
+stored as int64 on every path (their entries are below p < 2**61), since
+_dot multiplies int64 limbs for every p.  G and the derivative table keep
+the field's dtype: they feed elementwise arithmetic.
 """
 
 import numpy as np
@@ -44,7 +49,8 @@ _MAX_BUDGET = (1 << 63) - 1
 
 # Largest code length r*s.  The two biggest cached tables, the Hermite basis
 # and the derivative table, hold (rs)**2 entries each: at 2048 that is
-# 4,194,304 entries, 32 MiB on the int64 path and about 160 MiB on the
+# 4,194,304 entries.  The basis is int64 on every path, 32 MiB; the
+# derivative table is 32 MiB on the int64 path and about 160 MiB on the
 # object path (an 8-byte pointer plus a 32-byte int per entry), while a code
 # past it could ask for tens of GB.
 MAX_CODE_LENGTH = 2048
@@ -66,7 +72,7 @@ class CodeParams:
             )
         if not 1 <= t <= r * s:
             raise ParameterError(f"t must satisfy 1 <= t <= r*s, got t={t}, r*s={r * s}")
-        alphas = tuple(int(a) % field.p for a in alphas)
+        alphas = tuple(require_int(a, "alpha") % field.p for a in alphas)
         if len(alphas) != r:
             raise ParameterError(f"expected {r} evaluation points, got {len(alphas)}")
         if len(set(alphas)) != r:
@@ -74,11 +80,14 @@ class CodeParams:
         if multipliers is None:
             v = np.ones((s, r), dtype=field.dtype)
         else:
-            v = np.array(multipliers, dtype=field.dtype) % field.p
+            v = np.array(multipliers, dtype=object)
             if v.shape != (s, r):
                 raise ParameterError(
                     f"multiplier matrix must have shape {(s, r)}, got {v.shape}"
                 )
+            v = np.array(
+                [require_int(x, "multiplier") % field.p for x in v.flat], dtype=field.dtype
+            ).reshape(s, r)
             if np.any(v == 0):
                 raise ParameterError("multiplier entries must be nonzero")
         v.flags.writeable = False
@@ -151,7 +160,8 @@ class CodeParams:
         return self._deriv
 
     def encoding_matrix(self) -> np.ndarray:
-        """The (s*r) x t matrix mapping coefficient vectors to codeword entries.
+        """The (s*r) x t int64 matrix mapping coefficient vectors to codeword
+        entries.
 
         Row i*r+j holds the coefficients of c -> v_{i,j} * d^(i)f(alpha_j):
         entry k is v_{i,j} * C(k, i) * alpha_j**(k-i).
@@ -161,15 +171,17 @@ class CodeParams:
             enc = self.derivative_table()[:, :, :t].reshape(s * r, t)
             if not self.unit_multipliers:
                 enc = enc * self.multipliers.reshape(s * r, 1) % self.p
+            enc = enc.astype(np.int64, copy=False)
             enc.flags.writeable = False
             self._enc = enc
         return self._enc
 
     def _interpolation_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(G, basis): G is prod_j (X - alpha_j)**s as rs + 1 coefficients,
-        basis has shape (s, r, rs) with basis[i, j] the coefficients of the
-        polynomial of degree < rs whose order-i hyperderivative at alpha_j is
-        1 and whose other hyperderivatives of order < s at every point are 0.
+        basis is int64 of shape (s, r, rs) with basis[i, j] the coefficients
+        of the polynomial of degree < rs whose order-i hyperderivative at
+        alpha_j is 1 and whose other hyperderivatives of order < s at every
+        point are 0.
         """
         if self._interp is None:
             p, r, s = self.p, self.r, self.s
@@ -213,6 +225,7 @@ class CodeParams:
                 prev = basis[i - 1]
                 top = prev[:, n - 1 : n]
                 basis[i] = (_mul(prev, lin, p) - top * g % p)[:, :n] % p
+            basis = basis.astype(np.int64, copy=False)
             g.flags.writeable = False
             basis.flags.writeable = False
             self._interp = (g, basis)
@@ -241,7 +254,7 @@ def _check_message(params: CodeParams, f: Poly) -> None:
 def encode(params: CodeParams, f: Poly) -> NrtMatrix:
     """Evaluate f and its first s-1 hyperderivatives at every alpha."""
     _check_message(params, f)
-    coeffs = np.zeros(params.t, dtype=params.field.dtype)
+    coeffs = np.zeros(params.t, dtype=np.int64)
     coeffs[: len(f.coeffs)] = f.coeffs
     flat = _dot(coeffs, params.encoding_matrix().T, params.p)
     return NrtMatrix(params.field, flat.reshape(params.s, params.r))

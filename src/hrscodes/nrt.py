@@ -21,9 +21,14 @@ class NrtMatrix:
     __slots__ = ("field", "entries")
 
     def __init__(self, field: PrimeField, entries):
-        a = np.array(entries, dtype=field.dtype)
+        a = np.asarray(entries)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ParameterError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
+        # Integer or object entries only: the cast truncates floats and bools
+        # silently.  Object entries are not checked one by one.
+        if a.dtype.kind not in "iuO":
+            raise ParameterError(f"matrix entries must be integers, got dtype {a.dtype}")
+        a = np.array(entries, dtype=field.dtype)
         a %= field.p
         a.flags.writeable = False
         object.__setattr__(self, "field", field)

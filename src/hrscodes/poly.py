@@ -11,7 +11,9 @@ tables and the Euclid decoder also call directly.  _divmod is the one
 division: it takes divisors with any unit leading coefficient and reduces
 only when int64 could overflow.  _dot is the one exact GF(p) matrix
 product: Hermite interpolation, the encoder and the brute-force scan all go
-through it.
+through it.  It multiplies int64 limbs for every p, so no product of a
+matrix runs on Python ints; only its output is combined on them above
+2**31 - 1.
 """
 
 import numpy as np
@@ -193,24 +195,49 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     return rem[..., deg:], rem[..., :deg]
 
 
-def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b over GF(p), exactly, for entries in [0, p).
+def _limbs(x: np.ndarray, width: int, bits: int) -> list:
+    """x, with entries below 2**bits, cut into limbs of `width` bits, top
+    limb first; x itself when one limb holds it."""
+    top = (bits - 1) // width * width
+    if not top:
+        return [x]
+    mask = (1 << width) - 1
+    return [x >> top] + [x >> shift & mask for shift in range(top - width, -1, -width)]
 
-    Above the int64 modulus limit the product runs on Python ints (object
-    arrays); the path is chosen by p, since a may be int64 there.  On the
-    int64 path a is cut into limbs of w bits, w the largest width with
-    K * (2**w - 1) * (p - 1) < 2**63 for inner length K, so every limb
-    product is exact.  The limbs are combined top down: the partial result
-    and the scale 2**w are reduced, so out * scale + (limb product mod p)
-    stays below p**2 + p < 2**63.
+
+def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b over GF(p), exactly, for entries in [0, p) of int64 or object
+    arrays: int64 out for p <= 2**31-1, Python ints (object) above.
+
+    One limb rule for every p.  b is cut into the fewest limbs of at most
+    31 bits, the width of the int64 path's moduli, so it stays whole on that
+    path; a limb of b is then at most b_max = min(p - 1, 2**b_width - 1).
+    a is cut into limbs of w bits, w the largest width with
+    K * (2**w - 1) * b_max < 2**63 for inner length K, so each limb pair is
+    one exact int64 matmul.  The results are combined top down on the output
+    only.  On the int64 path each product is reduced, and so are the partial
+    result and the scale 2**w, so out * scale + (limb product mod p) stays
+    below p**2 + p < 2**63.  Above it the raw products are shifted into
+    place on Python ints and reduced once.
     """
-    if p > _INT64_MODULUS_LIMIT:
-        return a @ b % p
     inner = max(a.shape[-1], 1)
-    width = (((1 << 63) - 1) // (inner * (p - 1)) + 1).bit_length() - 1
-    top = ((p - 1).bit_length() - 1) // width * width
-    out = (a >> top) @ b % p
-    mask, scale = (1 << width) - 1, pow(2, width, p)
-    for shift in range(top - width, -1, -width):
-        out = (out * scale + (a >> shift & mask) @ b % p) % p
-    return out
+    bits = (p - 1).bit_length()
+    b_width = -(-bits // -(-bits // _INT64_MODULUS_LIMIT.bit_length()))
+    b_max = min(p - 1, (1 << b_width) - 1)
+    width = (((1 << 63) - 1) // (inner * b_max) + 1).bit_length() - 1
+    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+    exact, scale = p > _INT64_MODULUS_LIMIT, pow(2, width, p)
+    a_limbs, out = _limbs(a, width, bits), None
+    for b_limb in _limbs(b, b_width, bits):
+        part = None
+        for a_limb in a_limbs:
+            prod = a_limb @ b_limb
+            if exact:
+                prod = prod.astype(object)
+                part = prod if part is None else (part << width) + prod
+            else:
+                prod %= p
+                part = prod if part is None else (part * scale + prod) % p
+        # b has more than one limb only on the exact path.
+        out = part if out is None else (out << b_width) + part
+    return out % p if exact else out

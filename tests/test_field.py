@@ -33,6 +33,11 @@ def test_is_prime_carmichael_and_big():
 def test_constructor_validation():
     with pytest.raises(TypeError):
         PrimeField(7.0)
+    with pytest.raises(TypeError):
+        PrimeField(True)
+    # numpy integers are accepted and stored as Python ints.
+    for p in (np.int64(7), np.uint8(7)):
+        assert PrimeField(p) == PrimeField(7) and type(PrimeField(p).p) is int
     with pytest.raises(ValueError):
         PrimeField(1)
     with pytest.raises(ValueError):

@@ -77,6 +77,15 @@ class TestCodeParams:
             CodeParams(5, 2, 1, 2.0, [0, 1])
         with pytest.raises(ParameterError, match="t must be an integer"):
             CodeParams(5, 2, 1, True, [0, 1])
+        # Non-integer points and multipliers are refused, not truncated.
+        for alphas in ([0.5, 1.9], [0, True], np.array([0.0, 1.0])):
+            with pytest.raises(ParameterError, match="alpha must be an integer"):
+                CodeParams(7, 2, 1, 1, alphas)
+        for v in ([[2.9, 1]], [[1, True]], np.array([[2.0, 1.0]]), [[1, 1j]]):
+            with pytest.raises(ParameterError, match="multiplier must be an integer"):
+                CodeParams(7, 2, 1, 1, [0, 1], v)
+        with pytest.raises(ParameterError, match="shape"):
+            CodeParams(7, 2, 1, 1, [0, 1], [[1, 2], [3]])
 
     def test_basics(self):
         params = CodeParams(7, 4, 2, 4, [1, 2, 3, 4])
@@ -87,6 +96,7 @@ class TestCodeParams:
         assert numpy_ints == params and type(numpy_ints.t) is int
         v = [[2, 2, 2, 2], [3, 3, 3, 3]]
         scaled = CodeParams(7, 4, 2, 4, [1, 2, 3, 4], v)
+        assert scaled == CodeParams(7, 4, 2, 4, np.arange(1, 5), np.array(v) + 7)
         assert not scaled.unit_multipliers
         inv = scaled.inverse_multipliers()
         assert (scaled.multipliers * inv % 7 == 1).all()
@@ -122,6 +132,22 @@ class TestCodeParams:
                 for i in range(3):
                     for j, alpha in enumerate(code.alphas):
                         assert deriv[i, j, k] == evaluate(hyperderivative(xk, i), alpha)
+
+    def test_table_dtypes(self):
+        # The basis and the encoding matrix, read only by _dot, are int64 on
+        # every path; G and the derivative table keep the field's dtype.
+        for p in (101, 2**31 - 1, 2**61 - 1):
+            for v in (None, [[1, 2, 3], [p - 1, 5, 6]]):
+                params = CodeParams(p, 3, 2, 6, [0, 1, 5], v)
+                g, basis = params._interpolation_tables()
+                assert basis.dtype == np.int64 and params.encoding_matrix().dtype == np.int64
+                assert g.dtype == params.field.dtype
+                assert params.derivative_table().dtype == params.field.dtype
+                assert not basis.flags.writeable and not params.encoding_matrix().flags.writeable
+                # No copy on the int64 path: at t = rs with unit multipliers
+                # the encoding matrix is a view of the derivative table.
+                shared = np.shares_memory(params.encoding_matrix(), params.derivative_table())
+                assert shared == (v is None and params.field.uses_int64)
 
 
 def table_codes(rnd):

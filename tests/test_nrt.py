@@ -88,6 +88,13 @@ def test_matrix_validation_and_arithmetic(gf7):
         NrtMatrix(gf7, [1, 2, 3])
     with pytest.raises(ParameterError):
         NrtMatrix(gf7, [[]])
+    # Float, complex and bool entries are refused, not truncated.
+    for bad in ([[1.7, 2]], [[1, 2j]], [[True, False]], np.ones((2, 2))):
+        for field in (gf7, PrimeField(2**61 - 1)):
+            with pytest.raises(ParameterError, match="must be integers"):
+                NrtMatrix(field, bad)
+    big = NrtMatrix(PrimeField(2**61 - 1), np.array([[2**61, 3]], dtype=object))
+    assert big.to_lists() == [[1, 3]]
     m = NrtMatrix(gf7, [[8, -1], [0, 3]])
     assert m.to_lists() == [[1, 6], [0, 3]]
     assert m.s == 2 and m.r == 2 and m.shape == (2, 2)

@@ -155,25 +155,37 @@ def naive_dot(a, b, p):
 
 def test_dot_against_python_ints():
     rnd = random.Random(2)
-    # p = 2**31 - 1 takes two limbs on the int64 path, p = 2**61 - 1 the
-    # object path, where the left operand may still be int64 (messages).
-    for p in (2, 101, 2**31 - 1, 2**61 - 1):
+    # p = 2**31 - 1 takes two limbs of a with b whole; above it b is cut
+    # into two limbs and a into up to three, and the inner lengths cross
+    # the points where the limb widths change.
+    for p in (2, 101, 2**31 - 1, 2**31 + 11, 2**32 + 15, 2**61 - 1):
         dtype = PrimeField(p).dtype
-        for _ in range(60):
-            rows, inner, cols = rnd.randint(1, 4), rnd.randint(1, 40), rnd.randint(1, 4)
-            a = [random_coeffs(rnd, p, inner) for _ in range(rows)]
-            b = [random_coeffs(rnd, p, cols) for _ in range(inner)]
-            want = naive_dot(a, b, p)
-            b_arr = np.array(b, dtype=dtype)
-            assert _dot(np.array(a, dtype=dtype), b_arr, p).tolist() == want
-            assert _dot(np.array(a, dtype=np.int64), b_arr, p).tolist() == want
-            assert _dot(np.array(a[0], dtype=dtype), b_arr, p).tolist() == want[0]
-    # Worst case of the int64 path: every entry p - 1 at the longest code.
-    p, k = 2**31 - 1, MAX_CODE_LENGTH
-    a = np.full((2, k), p - 1, dtype=np.int64)
-    b = np.full((k, 3), p - 1, dtype=np.int64)
-    assert _dot(a, b, p).tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
-    assert _dot(a[0], b[:, 0], p) == k * (p - 1) ** 2 % p
+        for inner in (1, 2, 63, 64, 65, 256, 2048):
+            for _ in range(3 if inner > 256 else 8):
+                rows, cols = rnd.randint(1, 3), rnd.randint(1, 3)
+                a = [random_coeffs(rnd, p, inner) for _ in range(rows)]
+                b = [random_coeffs(rnd, p, cols) for _ in range(inner)]
+                want = naive_dot(a, b, p)
+                for a_type, b_type in (
+                    (dtype, dtype), (np.int64, np.int64), (object, np.int64), (np.int64, object)
+                ):
+                    a_arr, b_arr = np.array(a, dtype=a_type), np.array(b, dtype=b_type)
+                    got = _dot(a_arr, b_arr, p)
+                    assert got.tolist() == want
+                    assert _dot(a_arr[0], b_arr, p).tolist() == want[0]
+                    assert _dot(a_arr[0], b_arr[:, 0], p) == want[0][0]
+                    if p > 2**31 - 1:
+                        assert got.dtype == object
+                        assert all(type(x) is int and 0 <= x < p for x in got.flat)
+                    else:
+                        assert got.dtype == np.int64
+    # Worst cases: every entry p - 1 at the longest code, on both paths.
+    k = MAX_CODE_LENGTH
+    for p in (2**31 - 1, 2**61 - 1):
+        a = np.full((2, k), p - 1, dtype=np.int64)
+        b = np.full((k, 3), p - 1, dtype=np.int64)
+        assert _dot(a, b, p).tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
+        assert _dot(a[0], b[:, 0], p) == k * (p - 1) ** 2 % p
 
 
 def test_division_by_zero(gf7):
