@@ -24,7 +24,14 @@ Computer Algebra, Lemma 5.15).  So:
   its degree is deg N0 - deg E0 <= t-1, so it is a message of the code.
 
 Any quotient is re-encoded and its NRT distance to y checked, so decode
-never returns a wrong message.
+never returns a wrong message.  That check cannot fail: DISTANCE_EXCEEDED
+cannot occur, and the check, the enum value and the CSV column stay as a
+guard.  If E0 divides N0 with f = N0/E0, then N0 = E0*H (mod G) gives
+E0*(H - f) = 0 (mod G).  With m_j the multiplicity of alpha_j in E0,
+H - f then vanishes to order at least s - m_j at alpha_j, so its first
+s - m_j hyperderivatives there are 0.  Those are the top s - m_j entries of
+column j of y - enc(f) with the multipliers divided out, so that column
+weighs at most m_j, and the distance is at most sum m_j <= deg E0 <= e.
 """
 
 from dataclasses import dataclass
@@ -34,7 +41,7 @@ import numpy as np
 
 from .errors import ParameterError, require_int
 from .field import PrimeField
-from .hrs import CodeParams, _check_received, encode, hermite_interpolate
+from .hrs import CodeParams, _check_received, _interpolate, encode
 from .nrt import NrtMatrix, nrt_distance
 from .poly import Poly, _divmod, _trim
 
@@ -77,11 +84,11 @@ def _check_bound(params: CodeParams, e: int) -> int:
     return e
 
 
-def _unscaled(params: CodeParams, y: NrtMatrix) -> NrtMatrix:
-    """y with the multipliers divided out: raw hyperderivative values."""
+def _unscaled(params: CodeParams, y: NrtMatrix) -> np.ndarray:
+    """y's entries with the multipliers divided out: raw hyperderivative values."""
     if params.unit_multipliers:
-        return y
-    return NrtMatrix(params.field, y.entries * params.inverse_multipliers() % params.p)
+        return y.entries
+    return y.entries * params.inverse_multipliers() % params.p
 
 
 def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
@@ -109,8 +116,10 @@ def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
 
 
 def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
-    """Run the full pipeline: interpolate, solve the key equation, divide,
-    re-encode, verify.
+    """Run the full pipeline: unscale, interpolate (hrs._interpolate),
+    solve the key equation, divide once (poly._divmod), all on coefficient
+    arrays, then re-encode the quotient and verify its distance to y.  Poly
+    values are built only for the fields of a DecodeSuccess.
 
     Returns DecodeSuccess or DecodeFailure; received words beyond the error
     bound are an expected condition, never an exception.  Whenever y is
@@ -122,25 +131,26 @@ def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
     if e is None:
         e = decoding_radius(params)
     e = _check_bound(params, e)
-    field, t = params.field, params.t
-    h = hermite_interpolate(params, _unscaled(params, y))
+    field, p, t = params.field, params.p, params.t
+    h = _interpolate(params, _unscaled(params, y))
     g = params._interpolation_tables()[0]
-    rem, cof = _partial_euclid(field, g, np.array(h.coeffs, dtype=g.dtype), e + t)
+    rem, cof = _partial_euclid(field, g, h, e + t)
     scale = field.inv(int(cof[-1]))
-    n_poly = Poly(field, (rem * scale).tolist())
-    e_poly = Poly(field, (cof * scale).tolist())
-    if e_poly.degree > e or n_poly.degree - e_poly.degree > t - 1:
+    n0, e0 = rem * scale % p, cof * scale % p
+    # Both are trimmed, so deg = len - 1; N0 = 0 passes the second test.
+    if len(e0) - 1 > e or len(n0) - len(e0) > t - 1:
         return DecodeFailure(FailureReason.NO_SOLUTION)
-    quotient, remainder = divmod(n_poly, e_poly)
-    if not remainder.is_zero:
+    quot, remainder = _divmod(n0, e0, p)
+    if remainder.any():
         return DecodeFailure(FailureReason.NON_DIVISIBLE)
-    weight = nrt_distance(encode(params, quotient), y)
+    message = Poly(field, quot.tolist())
+    weight = nrt_distance(encode(params, message), y)
     if weight > e:
         return DecodeFailure(FailureReason.DISTANCE_EXCEEDED)
-    pad = (0,) * (e - e_poly.degree)
+    pad = [0] * (e + 1 - len(e0))
     return DecodeSuccess(
-        message=quotient,
+        message=message,
         error_weight=weight,
-        locator=Poly(field, pad + e_poly.coeffs),
-        evaluator=Poly(field, pad + n_poly.coeffs),
+        locator=Poly(field, pad + e0.tolist()),
+        evaluator=Poly(field, pad + n0.tolist()),
     )

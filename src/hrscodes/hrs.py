@@ -23,7 +23,9 @@ per code with the array kernel of the poly module (poly._mul for the
 product tree of G, the Horner steps and the basis recurrence, poly._divmod
 for every Q_j at once, then the Taylor coefficients of each Q_j from the
 derivative table and their series inverses), so an interpolation is one
-(rs)-by-(rs) vector-matrix product, poly._dot.
+(rs)-by-(rs) vector-matrix product, poly._dot.  That product is the
+private _interpolate, on arrays, which the decoder calls;
+hermite_interpolate wraps it to take an NrtMatrix and return a Poly.
 
 The two tables only poly._dot reads, the basis and the encoding matrix, are
 stored as int64 on every path (their entries are below p < 2**61), since
@@ -270,18 +272,24 @@ def _check_received(params: CodeParams, y: NrtMatrix) -> None:
         )
 
 
+def _interpolate(params: CodeParams, entries: np.ndarray) -> np.ndarray:
+    """Coefficients of the Hermite interpolant of the s x r raw derivative
+    values `entries`, rs of them, low degree first and untrimmed, in the
+    dtype of G: one product with the cached basis."""
+    n = params.r * params.s
+    basis = params._interpolation_tables()[1]
+    return _dot(entries.reshape(n), basis.reshape(n, n), params.p)
+
+
 def hermite_interpolate(params: CodeParams, y: NrtMatrix) -> Poly:
     """The unique H with deg H < rs whose order-(i-1) hyperderivative at
-    alpha_j equals y_{i,j} for all i, j.
+    alpha_j equals y_{i,j} for all i, j: _interpolate, as a Poly.
 
     H is the sum of y_{i,j} times the cached basis polynomial for (i, j).
     Multipliers play no role here; y holds raw derivative values.
     """
     _check_received(params, y)
-    n = params.r * params.s
-    basis = params._interpolation_tables()[1]
-    h = _dot(y.entries.reshape(n), basis.reshape(n, n), params.p)
-    return Poly(params.field, h.tolist())
+    return Poly(params.field, _interpolate(params, y.entries).tolist())
 
 
 def _check_budget(params: CodeParams, budget: int) -> int:

@@ -14,6 +14,8 @@ from .field import PrimeField
 class NrtMatrix:
     """An s x r matrix over a prime field, entries reduced into [0, p).
 
+    Entries are integers: an integer array, an object array, or a nested
+    sequence of ints and numpy integers, never bools, floats or complex.
     The backing array is frozen after construction; arithmetic returns new
     instances.  Row 1 (index 0) is the order-0 derivative row.
     """
@@ -21,15 +23,22 @@ class NrtMatrix:
     __slots__ = ("field", "entries")
 
     def __init__(self, field: PrimeField, entries):
-        a = np.asarray(entries)
+        given = isinstance(entries, np.ndarray)
+        a = entries if given else np.array(entries, dtype=object)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ParameterError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
-        # Integer or object entries only: the cast truncates floats and bools
-        # silently.  Object entries are not checked one by one.
-        if a.dtype.kind not in "iuO":
+        if not given:
+            # Checked one by one: numpy would read [[True, 2]] as int64.
+            # Arrays are checked by dtype only; object entries are not.
+            a = np.array([_entry(x) for x in a.flat], dtype=object).reshape(a.shape)
+        elif a.dtype.kind not in "iuO":
             raise ParameterError(f"matrix entries must be integers, got dtype {a.dtype}")
-        a = np.array(entries, dtype=field.dtype)
-        a %= field.p
+        if np.can_cast(a.dtype, np.int64):
+            a = a.astype(field.dtype)
+            a %= field.p
+        else:
+            # uint64 and Python-int entries may not fit int64: reduce first.
+            a = (a % field.p).astype(field.dtype, copy=False)
         a.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", a)
@@ -80,11 +89,14 @@ class NrtMatrix:
         self._check(other)
         return NrtMatrix(self.field, (self.entries - other.entries) % self.field.p)
 
-    def __neg__(self):
-        return NrtMatrix(self.field, (-self.entries) % self.field.p)
-
     def __repr__(self):
         return f"NrtMatrix({self.to_lists()}, p={self.field.p})"
+
+
+def _entry(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ParameterError(f"matrix entries must be integers, got {x!r}")
+    return int(x)
 
 
 def column_weights(entries: np.ndarray) -> np.ndarray:

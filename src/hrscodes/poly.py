@@ -1,13 +1,14 @@
-"""Dense univariate polynomial arithmetic over GF(p).
+"""Polynomials over GF(p): the Poly value type and the array kernel.
 
-Coefficients are stored low degree first, normalized so the top coefficient
-is nonzero; the zero polynomial has an empty coefficient tuple and degree
-``-inf``.  All operations are pure and return new instances.
+Poly is a plain immutable value: coefficients stored low degree first,
+normalized so the top coefficient is nonzero (the zero polynomial has an
+empty coefficient tuple and degree ``-inf``), a field, equality, hashing and
+the one sum the bench uses.  It carries messages, locators and evaluators
+in and out of the codec; none of the codec's arithmetic goes through it.
 
-Poly is the immutable public wrapper (ring operations and Euclidean
-division) over the array kernel at the bottom of this module (_mul,
+That arithmetic is the array kernel at the bottom of this module (_mul,
 _divmod, _dot and _trim on int64 or object arrays), which the Hermite
-tables and the Euclid decoder also call directly.  _divmod is the one
+tables, the encoder and the decoder call directly.  _divmod is the one
 division: it takes divisors with any unit leading coefficient and reduces
 only when int64 could overflow.  _dot is the one exact GF(p) matrix
 product: Hermite interpolation, the encoder and the brute-force scan all go
@@ -38,26 +39,14 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, ())
-
     @classmethod
     def one(cls, field):
         return cls(field, (1,))
-
-    # -- basic queries --------------------------------------------------------
 
     @property
     def degree(self):
         """Degree as an int, or -inf for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def to_list(self) -> list[int]:
         """Coefficients low to high; the zero polynomial is [0]."""
@@ -76,15 +65,10 @@ class Poly:
     def __repr__(self):
         return f"Poly({self.to_list()}, p={self.field.p})"
 
-    # -- ring operations -------------------------------------------------------
-
-    def _check(self, other):
+    def __add__(self, other):
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
         self.field.require_same(other.field)
-
-    def __add__(self, other):
-        self._check(other)
         p = self.field.p
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -93,35 +77,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] = (out[i] + c) % p
         return Poly(self.field, out)
-
-    def __neg__(self):
-        p = self.field.p
-        return Poly(self.field, [-c % p for c in self.coeffs])
-
-    def __sub__(self, other):
-        self._check(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
-        dtype = self.field.dtype
-        a = np.array([self.coeffs], dtype=dtype)
-        b = np.array([other.coeffs], dtype=dtype)
-        return Poly(self.field, _mul(a, b, self.field.p)[0].tolist())
-
-    def __divmod__(self, other):
-        """Euclidean division: self = q * other + r with deg r < deg other,
-        one _divmod call, which inverts the leading coefficient of other."""
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero polynomial")
-        field = self.field
-        a = np.array(self.coeffs, dtype=field.dtype)
-        b = np.array(other.coeffs, dtype=field.dtype)
-        quot, rem = _divmod(a, b, field.p)
-        return Poly(field, quot.tolist()), Poly(field, rem.tolist())
 
 
 # -- array kernel: coefficients low degree first, entries in [0, p) ------------

@@ -3,6 +3,9 @@
 Nothing here is on the codec's path; every function is a slow, direct
 transcription of a definition or of the paper's dense algorithm:
 
+- polynomial arithmetic on the codec's Poly value type (zero, negation,
+  difference, product and Euclidean division over the array kernel) and
+  the negation of an NrtMatrix;
 - scalar polynomial helpers (Horner evaluation, hyperderivatives, Taylor
   coefficients by synthetic division, root multiplicities, monomials,
   schoolbook long division) and C(i, j) mod p by Lucas' theorem;
@@ -36,7 +39,55 @@ from hrscodes.hrs import (
     hermite_interpolate,
 )
 from hrscodes.nrt import column_weights, nrt_distance
-from hrscodes.poly import _dot
+from hrscodes.poly import _divmod, _dot, _mul
+
+# -- arithmetic on the codec's value types --------------------------------------
+
+
+def zero_poly(field: PrimeField) -> Poly:
+    return Poly(field, ())
+
+
+def is_zero(f: Poly) -> bool:
+    return not f.coeffs
+
+
+def neg(f: Poly) -> Poly:
+    p = f.field.p
+    return Poly(f.field, [-c % p for c in f.coeffs])
+
+
+def sub(f: Poly, g: Poly) -> Poly:
+    return f + neg(g)
+
+
+def mul(f: Poly, g: Poly) -> Poly:
+    """f * g, one _mul call."""
+    f.field.require_same(g.field)
+    if is_zero(f) or is_zero(g):
+        return zero_poly(f.field)
+    dtype = f.field.dtype
+    a = np.array([f.coeffs], dtype=dtype)
+    b = np.array([g.coeffs], dtype=dtype)
+    return Poly(f.field, _mul(a, b, f.field.p)[0].tolist())
+
+
+def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Euclidean division: f = q * g + r with deg r < deg g, one _divmod
+    call, which inverts the leading coefficient of g."""
+    f.field.require_same(g.field)
+    if is_zero(g):
+        raise ZeroDivisionError("polynomial division by zero polynomial")
+    field = f.field
+    a = np.array(f.coeffs, dtype=field.dtype)
+    b = np.array(g.coeffs, dtype=field.dtype)
+    quot, rem = _divmod(a, b, field.p)
+    return Poly(field, quot.tolist()), Poly(field, rem.tolist())
+
+
+def neg_matrix(a: NrtMatrix) -> NrtMatrix:
+    return NrtMatrix(a.field, (-a.entries) % a.field.p)
+
 
 # -- scalars and polynomials ----------------------------------------------------
 
@@ -350,7 +401,7 @@ def existence_witness(
     if nrt_distance(encode(params, message), y) > e:
         raise ParameterError("message is farther than e from y")
 
-    gap = message - hermite_interpolate(params, _unscaled(params, y))
+    gap = sub(message, hermite_interpolate(params, NrtMatrix(field, _unscaled(params, y))))
     orders = [vanishing_order(gap, alpha, cap=s) for alpha in params.alphas]
     delta = sum(s - nu for nu in orders)
     if delta < e and 0 in params.alphas:
@@ -361,8 +412,8 @@ def existence_witness(
     for alpha, nu in zip(params.alphas, orders):
         lin = Poly(field, (-alpha % p, 1))
         for _ in range(s - nu):
-            locator = locator * lin
-    return locator, locator * message
+            locator = mul(locator, lin)
+    return locator, mul(locator, message)
 
 
 # -- weights and exhaustive search -------------------------------------------------

@@ -38,8 +38,11 @@ from conftest import (
 from reference import (
     build_wb_system,
     codeword_weight_formula,
+    is_zero,
+    mul,
     nearest_codeword_multiplicity,
     solve,
+    sub,
 )
 
 
@@ -121,7 +124,7 @@ def test_acceptance_4_weight_formula():
         f = Poly.one(params.field)
         for _ in range(rnd.randint(0, t - 1)):
             a = rnd.choice(params.alphas)
-            f = f * Poly(params.field, (-a % p, 1))
+            f = mul(f, Poly(params.field, (-a % p, 1)))
         if f.degree > t - 1 or rnd.random() < 0.5:
             f = random_poly(rnd, params.field, t)
         assert nrt_weight(encode(params, f)) == codeword_weight_formula(params, f)
@@ -170,7 +173,7 @@ def test_acceptance_6_ratio_invariance():
             for v in sol.nullspace:
                 x = (x + rnd.randrange(p) * v) % p
             n1, e1 = system.split(params.field, x)
-            assert (n0 * e1 - n1 * e0).is_zero
+            assert is_zero(sub(mul(n0, e1), mul(n1, e0)))
         instances += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -31,10 +31,14 @@ from reference import (
     binomial,
     build_wb_system,
     existence_witness,
+    is_zero,
     mat_vec,
     monomial,
+    mul,
     nearest_codeword_multiplicity,
+    poly_divmod,
     solve,
+    zero_poly,
 )
 
 
@@ -66,8 +70,8 @@ def classical_wb_decode(params, y, e):
         return None
     n_poly = Poly(field, [int(c) for c in sol.particular[: e + t]])
     e_poly = Poly(field, [int(c) for c in sol.particular[e + t :]] + [1])
-    q, rem = divmod(n_poly, e_poly)
-    if not rem.is_zero:
+    q, rem = poly_divmod(n_poly, e_poly)
+    if not is_zero(rem):
         return None
     if q.degree > t - 1 or nrt_distance(encode(params, q), y) > e:
         return None
@@ -84,8 +88,8 @@ def dense_decode(params, y, e):
     if sol is None:
         return FailureReason.NO_SOLUTION, None, None
     n_poly, e_poly = system.split(params.field, sol.particular)
-    quotient, remainder = divmod(n_poly, e_poly)
-    if not remainder.is_zero:
+    quotient, remainder = poly_divmod(n_poly, e_poly)
+    if not is_zero(remainder):
         return FailureReason.NON_DIVISIBLE, None, None
     if quotient.degree > params.t - 1:
         return FailureReason.DISTANCE_EXCEEDED, None, None
@@ -169,7 +173,7 @@ class TestDecode:
         assert out.message == Poly(gf7, GOLDEN_MESSAGE)
         assert out.error_weight == 2
         assert out.locator.degree == 2 and out.locator.coeffs[-1] == 1
-        assert out.evaluator == out.locator * out.message
+        assert out.evaluator == mul(out.locator, out.message)
 
     def test_golden_internal_pair(self, golden_params, golden_received, gf7):
         # The pinned (N, E) pair solves the same system the decoder builds.
@@ -296,12 +300,104 @@ class TestEuclidAgainstDenseSystem:
                         assert out.message == message, case
                         assert out.error_weight == error_weight, case
                         assert out.locator.degree == e and out.locator.coeffs[-1] == 1, case
-                        assert out.evaluator == out.locator * out.message, case
+                        assert out.evaluator == mul(out.locator, out.message), case
                         seen.add("ok")
                     else:
                         assert out == DecodeFailure(reason), case
                         seen.add(reason)
         assert seen == {"ok", FailureReason.NO_SOLUTION, FailureReason.NON_DIVISIBLE}
+
+
+EDGE_MODULI = (2, 7, 101, 2**31 - 1, 2**61 - 1)
+
+
+def edge_code(p, t=None, multiplied=False):
+    """(r, s) = (2, 2) at p = 2, else (4, 2), with alpha = 0 first and
+    alpha = 1 second; t = 2 unless given."""
+    r = 2 if p == 2 else 4
+    multipliers = None
+    if multiplied:
+        rnd = random.Random(p)
+        multipliers = [[rnd.randrange(1, p) for _ in range(r)] for _ in range(2)]
+    return CodeParams(p, r, 2, 2 if t is None else t, list(range(r)), multipliers)
+
+
+def column_error(params, column, weight, rnd):
+    """An error of NRT weight `weight` <= s in one column: a nonzero entry
+    `weight` rows from the bottom, random entries below it."""
+    rows = [[0] * params.r for _ in range(params.s)]
+    top = params.s - weight
+    for i in range(top, params.s):
+        rows[i][column] = rnd.randrange(1 if i == top else 0, params.p)
+    return NrtMatrix(params.field, rows)
+
+
+def assert_decoded(out, message, weight, e):
+    """Success with the given message and weight, a monic locator of degree
+    exactly e, and evaluator = locator * message."""
+    assert isinstance(out, DecodeSuccess)
+    assert out.message == message and out.error_weight == weight
+    assert out.locator.degree == e and out.locator.coeffs[-1] == 1
+    assert out.evaluator == mul(out.locator, out.message)
+
+
+@pytest.mark.parametrize("multiplied", [False, True])
+@pytest.mark.parametrize("p", EDGE_MODULI)
+class TestDegreeEdges:
+    """Edges of decode's degree tests on array lengths: N0 = 0, a Euclid of
+    no step, deg E0 < e and a zero constant term in E0, on every field
+    path."""
+
+    def test_zero_word(self, p, multiplied):
+        params = edge_code(p, multiplied=multiplied)
+        zero = NrtMatrix(params.field, [[0] * params.r] * params.s)
+        for e in range(decoding_radius(params) + 1):
+            out = decode(params, zero, e)
+            assert_decoded(out, zero_poly(params.field), 0, e)
+            assert out.locator == monomial(params.field, e)
+            assert is_zero(out.evaluator)
+
+    def test_full_rate(self, p, multiplied):
+        # t = rs: every word is a codeword, the radius is 0, and the Euclid
+        # stops before its first step.
+        params = edge_code(p, t=4 if p == 2 else 8, multiplied=multiplied)
+        assert decoding_radius(params) == 0
+        rnd = random.Random(p)
+        rows = [[rnd.randrange(p) for _ in range(params.r)] for _ in range(params.s)]
+        y = NrtMatrix(params.field, rows)
+        out = decode(params, y)
+        assert_decoded(out, out.message, 0, 0)
+        assert encode(params, out.message) == y
+        assert out.locator == Poly.one(params.field) and out.evaluator == out.message
+
+    def test_fewer_errors_than_e(self, p, multiplied):
+        # w errors at alpha = 1: E0 = (X - 1)**w, padded by X**(e - w).
+        params = edge_code(p, multiplied=multiplied)
+        rnd = random.Random(p)
+        lin = Poly(params.field, [p - 1, 1])
+        for w in (0, 1):
+            for e in range(w + 1, decoding_radius(params) + 1):
+                f = random_poly(rnd, params.field, params.t)
+                y = encode(params, f) + column_error(params, 1, w, rnd)
+                out = decode(params, y, e)
+                assert_decoded(out, f, w, e)
+                want = monomial(params.field, e - w)
+                for _ in range(w):
+                    want = mul(want, lin)
+                assert out.locator == want
+
+    def test_error_at_zero(self, p, multiplied):
+        # An error of weight w at alpha = 0: E0 = X**w has a zero constant
+        # term, and the locator is X**e.
+        params = edge_code(p, multiplied=multiplied)
+        rnd = random.Random(p)
+        for w in range(1, params.s + 1):
+            for e in range(w, decoding_radius(params) + 1):
+                f = random_poly(rnd, params.field, params.t)
+                y = encode(params, f) + column_error(params, 0, w, rnd)
+                out = decode(params, y, e)
+                assert_decoded(out, f, w, e)
+                assert out.locator == monomial(params.field, e)
 
 
 def brute_force_codes(rnd):
@@ -463,7 +559,7 @@ class TestRatioInvariance:
                 pairs.append(system.split(params.field, x))
             for n1, e1 in pairs:
                 for n2, e2 in pairs:
-                    assert n1 * e2 == n2 * e1
+                    assert mul(n1, e2) == mul(n2, e1)
             done += 1
 
 
@@ -472,7 +568,7 @@ class TestExistenceWitness:
         f = Poly(gf7, GOLDEN_MESSAGE)
         e1, n1 = existence_witness(golden_params, f, golden_received, 2)
         assert e1.degree == 2 and e1.coeffs[-1] == 1
-        assert n1 == e1 * f
+        assert n1 == mul(e1, f)
         system = build_wb_system(golden_params, golden_received, 2)
         x = witness_vector(system, n1, e1)
         assert (mat_vec(gf7, system.matrix, x) == system.rhs).all()
@@ -481,7 +577,7 @@ class TestExistenceWitness:
         cw = encode(golden_params, golden_message)
         e1, n1 = existence_witness(golden_params, golden_message, cw, 2)
         assert e1 == monomial(gf7, 2)
-        assert n1 == e1 * golden_message
+        assert n1 == mul(e1, golden_message)
 
     def test_random_witnesses_satisfy_system(self):
         rnd = random.Random(24)
@@ -500,7 +596,7 @@ class TestExistenceWitness:
             y = encode(params, f) + err
             e1, n1 = existence_witness(params, f, y, e)
             assert e1.degree == e and e1.coeffs[-1] == 1
-            assert n1 == e1 * f
+            assert n1 == mul(e1, f)
             system = build_wb_system(params, y, e)
             x = witness_vector(system, n1, e1)
             assert (mat_vec(params.field, system.matrix, x) == system.rhs).all()

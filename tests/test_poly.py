@@ -9,10 +9,16 @@ from hrscodes.poly import NEG_INF, _divmod, _dot
 from reference import (
     evaluate,
     hyperderivative,
+    is_zero,
     long_division,
     monomial,
+    mul,
+    neg,
+    poly_divmod,
+    sub,
     taylor,
     vanishing_order,
+    zero_poly,
 )
 
 
@@ -36,7 +42,7 @@ def test_normalization_and_queries(gf7):
     assert f.coeffs == (3,)
     assert f.degree == 0
     z = Poly(gf7, [0, 0])
-    assert z.is_zero and z.degree == NEG_INF
+    assert is_zero(z) and z.degree == NEG_INF
     assert z.to_list() == [0]
     assert monomial(gf7, 3, 2).to_list() == [0, 0, 0, 2]
     assert Poly.one(gf7).to_list() == [1]
@@ -78,10 +84,10 @@ def test_ring_ops_against_naive():
             fa, fb = Poly(field, a), Poly(field, b)
             add = [(x + y) % p for x, y in zip(a + [0] * len(b), b + [0] * len(a))]
             assert (fa + fb) == Poly(field, add)
-            assert fa - fb == fa + (-fb)
-            assert fa * fb == Poly(field, naive_mul(a, b, p))
+            assert sub(fa, fb) == fa + neg(fb)
+            assert mul(fa, fb) == Poly(field, naive_mul(a, b, p))
             c = rnd.randrange(p)
-            assert fa * Poly(field, [c]) == Poly(field, [x * c for x in a])
+            assert mul(fa, Poly(field, [c])) == Poly(field, [x * c for x in a])
 
 
 def test_divmod_property():
@@ -92,13 +98,13 @@ def test_divmod_property():
             # Divisors up to 12 coefficients, often longer than the dividend.
             a = Poly(field, random_coeffs(rnd, p, rnd.randint(0, 9)))
             b = Poly(field, random_coeffs(rnd, p, rnd.randint(1, 12)))
-            if b.is_zero:
+            if is_zero(b):
                 continue
-            q, r = divmod(a, b)
-            assert q * b + r == a
-            assert r.is_zero or r.degree < b.degree
+            q, r = poly_divmod(a, b)
+            assert mul(q, b) + r == a
+            assert is_zero(r) or r.degree < b.degree
             if a.degree < b.degree:
-                assert q.is_zero and r == a
+                assert is_zero(q) and r == a
 
 
 def check_divmod_kernel(a, b, p):
@@ -190,7 +196,7 @@ def test_dot_against_python_ints():
 
 def test_division_by_zero(gf7):
     with pytest.raises(ZeroDivisionError):
-        divmod(Poly(gf7, [1]), Poly.zero(gf7))
+        poly_divmod(Poly(gf7, [1]), zero_poly(gf7))
 
 
 def test_evaluate(gf7):
@@ -219,7 +225,7 @@ def test_hyperderivative_characteristic_p(gf7):
     # The order-1 derivative of X^7 is 7*X^6 = 0 in GF(7), while the
     # order-7 one is exactly 1.
     x7 = monomial(gf7, 7)
-    assert hyperderivative(x7, 1).is_zero
+    assert is_zero(hyperderivative(x7, 1))
     assert hyperderivative(x7, 7) == Poly.one(gf7)
 
 
@@ -234,9 +240,9 @@ def test_taylor_matches_hyperderivatives(gf7):
         # Reassembling sum tay[j]*(X-alpha)^j recovers f when count > deg.
         if count > max(f.degree, 0):
             lin = Poly(gf7, [-alpha % 7, 1])
-            acc = Poly.zero(gf7)
+            acc = zero_poly(gf7)
             for c in reversed(tay):
-                acc = acc * lin + Poly(gf7, [c])
+                acc = mul(acc, lin) + Poly(gf7, [c])
             assert acc == f
 
 
@@ -248,14 +254,14 @@ def test_vanishing_order(gf7):
         # g with g(alpha) != 0
         while True:
             g = Poly(gf7, [rnd.randrange(7) for _ in range(rnd.randint(1, 4))])
-            if not g.is_zero and evaluate(g, alpha) != 0:
+            if not is_zero(g) and evaluate(g, alpha) != 0:
                 break
         lin = Poly(gf7, [-alpha % 7, 1])
         f = g
         for _ in range(k):
-            f = f * lin
+            f = mul(f, lin)
         assert vanishing_order(f, alpha, cap=6) == min(k, 6)
         assert vanishing_order(f, alpha, cap=max(k - 1, 0)) == max(k - 1, 0)
-    assert vanishing_order(Poly.zero(gf7), 3, cap=5) == 5
+    assert vanishing_order(zero_poly(gf7), 3, cap=5) == 5
     with pytest.raises(ValueError):
         vanishing_order(Poly.one(gf7), 0, cap=-1)
