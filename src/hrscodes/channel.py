@@ -81,6 +81,8 @@ def count_matrices_of_weight(s: int, p: int, w_col: int) -> int:
     Weight u > 0 pins the topmost nonzero entry to row s-u+1 (p-1 choices)
     and leaves the u-1 entries below it free.
     """
+    s, p = require_int(s, "s"), require_int(p, "p")
+    w_col = require_int(w_col, "column weight")
     if not 0 <= w_col <= s:
         raise ParameterError(f"column weight must lie in [0, {s}], got {w_col}")
     if w_col == 0:

@@ -15,16 +15,14 @@ poly._dot.
 
 Hermite interpolation is one product with a cached basis: entry (i, j) of
 the basis is the polynomial of degree < rs whose only nonzero
-hyperderivative of order < s at the points is order i at alpha_j.  It
-equals Q_j * (Z**i / Q_j(alpha_j + Z) mod Z**s) with Z = X - alpha_j and
-Q_j = G / Z**s, where G = prod_j (X - alpha_j)**s; G is cached beside it
-and is the modulus of the decoder's key equation.  The basis is built once
-per code with the array kernel of the poly module (poly._mul for the
-product tree of G, the Horner steps and the basis recurrence, poly._divmod
-for every Q_j at once, then the Taylor coefficients of each Q_j from the
-derivative table and their series inverses), so an interpolation is one
-(rs)-by-(rs) vector-matrix product, poly._dot.  That product is the
-private _interpolate, on arrays, which the decoder calls;
+hyperderivative of order < s at the points is order i at alpha_j.  In
+closed form it is sum_{k >= i} inv_j[k-i] * Z**k * Q_j, with Z = X - alpha_j,
+Q_j = G / Z**s, inv_j = 1 / Q_j(alpha_j + Z) mod Z**s and
+G = prod_j (X - alpha_j)**s (the Hermite form of the Chinese remainder
+theorem: von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 10).
+G is cached beside it and is the modulus of the decoder's key equation.
+So an interpolation is one (rs)-by-(rs) vector-matrix product, poly._dot:
+the private _interpolate, on arrays, which the decoder calls;
 hermite_interpolate wraps it to take an NrtMatrix and return a Poly.
 
 The two tables only poly._dot reads, the basis and the encoding matrix, are
@@ -38,7 +36,7 @@ import numpy as np
 from .errors import BudgetExceededError, ParameterError, require_int
 from .field import PrimeField
 from .nrt import NrtMatrix, column_weights
-from .poly import Poly, _divmod, _dot, _mul
+from .poly import Poly, _divmod, _dot, _mul, _shift_scale
 
 # Cap on p**t for the exhaustive-search oracles.
 DEFAULT_BUDGET = 10**6
@@ -52,8 +50,8 @@ _MAX_BUDGET = (1 << 63) - 1
 # Largest code length r*s.  The two biggest cached tables, the Hermite basis
 # and the derivative table, hold (rs)**2 entries each: at 2048 that is
 # 4,194,304 entries.  The basis is int64 on every path, 32 MiB; the
-# derivative table is 32 MiB on the int64 path and about 160 MiB on the
-# object path (an 8-byte pointer plus a 32-byte int per entry), while a code
+# derivative table is 32 MiB on the int64 path and 176 MiB (measured) on the
+# object path (an 8-byte pointer plus a Python int per entry), while a code
 # past it could ask for tens of GB.
 MAX_CODE_LENGTH = 2048
 
@@ -101,7 +99,7 @@ class CodeParams:
         self.alphas = alphas
         self.multipliers = v
         self.unit_multipliers = bool(np.all(v == 1))
-        self._alpha_vec = np.array(alphas, dtype=field.dtype)
+        self._alpha_col = np.array(alphas, dtype=field.dtype).reshape(r, 1)
         self._deriv = None
         self._enc = None
         self._vinv = None
@@ -146,7 +144,7 @@ class CodeParams:
             # Row 0 holds the powers: columns [k, 2k) are columns [0, k)
             # times alpha**k.
             tab[0, :, 0] = 1
-            step = self._alpha_vec[:, np.newaxis]
+            step = self._alpha_col
             k = 1
             while k < n:
                 tab[0, :, k : 2 * k] = tab[0, :, : min(k, n - k)] * step % p
@@ -180,18 +178,21 @@ class CodeParams:
 
     def _interpolation_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(G, basis): G is prod_j (X - alpha_j)**s as rs + 1 coefficients,
-        basis is int64 of shape (s, r, rs) with basis[i, j] the coefficients
-        of the polynomial of degree < rs whose order-i hyperderivative at
-        alpha_j is 1 and whose other hyperderivatives of order < s at every
-        point are 0.
+        basis is int64 of shape (s, r, rs), basis[i, j] in the closed form
+        of the module docstring.
+
+        Products by Z = X - alpha_j are poly._shift_scale; G is a product
+        tree of poly._mul, the Q_j one poly._divmod of G tiled r times, and
+        their Taylor coefficients one poly._dot with the derivative table.
+        No term of the basis sum reaches degree rs, so none is reduced mod G,
+        and a sum of s terms, each below p, fits int64 until the one reduction.
         """
         if self._interp is None:
             p, r, s = self.p, self.r, self.s
             n = r * s
-            lin = np.stack([-self._alpha_vec % p, np.ones_like(self._alpha_vec)], axis=1)
             local = np.ones((r, 1), dtype=self.field.dtype)  # (X - alpha_j)**s
             for _ in range(s):
-                local = _mul(local, lin, p)
+                local = _shift_scale(local, self._alpha_col, p)
             g = local
             while len(g) > 1:
                 if len(g) % 2:
@@ -199,34 +200,26 @@ class CodeParams:
                 g = _mul(g[0::2], g[1::2], p)
             g = g[0, : n + 1]
 
-            # Q_j = G / (X - alpha_j)**s, all j in one division, and its
-            # Taylor coefficients at alpha_j: coefficient i is the order-i
+            # Taylor coefficient i of Q_j at alpha_j is its order-i
             # hyperderivative, sum_k Q_jk * C(k, i) * alpha_j**(k-i).
             m = n - s + 1
             quot = _divmod(np.tile(g, (r, 1)), local, p)[0]
-            deriv = self.derivative_table()[:, :, :m]
-            taylor = np.stack([(quot * d % p).sum(axis=1) % p for d in deriv], axis=1)
+            deriv = self.derivative_table()[:, :, :m].transpose(1, 2, 0)
+            taylor = _dot(quot[:, np.newaxis], deriv, p)[:, 0]
 
-            # inv = 1 / Q_j(alpha_j + Z) mod Z**s, expanded back into powers
-            # of X as poly = inv(X - alpha_j).
+            # inv = 1 / Q_j(alpha_j + Z) mod Z**s, one coefficient at a time.
             inv = np.zeros((r, s), dtype=g.dtype)
             inv[:, 0] = [self.field.inv(int(c)) for c in taylor[:, 0]]
             for k in range(1, s):
                 acc = (taylor[:, 1 : k + 1] * inv[:, k - 1 :: -1] % p).sum(axis=1) % p
                 inv[:, k] = -acc * inv[:, 0] % p
-            poly = np.zeros((r, s), dtype=g.dtype)
-            for k in range(s - 1, -1, -1):
-                poly = _mul(poly, lin, p)[:, :s]
-                poly[:, 0] = (poly[:, 0] + inv[:, k]) % p
 
-            # Order 0 is Q_j * poly; order i+1 is (X - alpha_j) times order
-            # i, minus the multiple of the monic G that cancels its X**rs term.
-            basis = np.empty((s, r, n), dtype=g.dtype)
-            basis[0] = _mul(poly, quot, p)
-            for i in range(1, s):
-                prev = basis[i - 1]
-                top = prev[:, n - 1 : n]
-                basis[i] = (_mul(prev, lin, p) - top * g % p)[:, :n] % p
+            basis = np.zeros((s, r, n), dtype=g.dtype)
+            for k in range(s):
+                term = _shift_scale(term, self._alpha_col, p) if k else quot  # Z**k * Q_j
+                for i in range(k + 1):
+                    basis[i, :, : m + k] += inv[:, k - i, np.newaxis] * term % p
+            basis %= p  # in place: a second object copy would raise the peak
             basis = basis.astype(np.int64, copy=False)
             g.flags.writeable = False
             basis.flags.writeable = False
@@ -293,6 +286,7 @@ def hermite_interpolate(params: CodeParams, y: NrtMatrix) -> Poly:
 
 
 def _check_budget(params: CodeParams, budget: int) -> int:
+    budget = require_int(budget, "budget")
     if budget < 0:
         raise ParameterError(f"budget must be non-negative, got {budget}")
     if budget > _MAX_BUDGET:

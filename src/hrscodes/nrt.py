@@ -14,7 +14,7 @@ from .field import PrimeField
 class NrtMatrix:
     """An s x r matrix over a prime field, entries reduced into [0, p).
 
-    Entries are integers: an integer array, an object array, or a nested
+    Entries are integers: an integer array, or an object array or nested
     sequence of ints and numpy integers, never bools, floats or complex.
     The backing array is frozen after construction; arithmetic returns new
     instances.  Row 1 (index 0) is the order-0 derivative row.
@@ -27,9 +27,10 @@ class NrtMatrix:
         a = entries if given else np.array(entries, dtype=object)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ParameterError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
-        if not given:
-            # Checked one by one: numpy would read [[True, 2]] as int64.
-            # Arrays are checked by dtype only; object entries are not.
+        if not given or a.dtype == object and not all(type(x) is int for x in a.flat):
+            # Checked one by one: numpy would read [[True, 2]] as int64, and
+            # an object array may hold floats, bools or numpy integers.
+            # Other arrays, and object arrays of Python ints, by dtype only.
             a = np.array([_entry(x) for x in a.flat], dtype=object).reshape(a.shape)
         elif a.dtype.kind not in "iuO":
             raise ParameterError(f"matrix entries must be integers, got dtype {a.dtype}")

@@ -7,14 +7,15 @@ the one sum the bench uses.  It carries messages, locators and evaluators
 in and out of the codec; none of the codec's arithmetic goes through it.
 
 That arithmetic is the array kernel at the bottom of this module (_mul,
-_divmod, _dot and _trim on int64 or object arrays), which the Hermite
-tables, the encoder and the decoder call directly.  _divmod is the one
+_shift_scale, _divmod, _dot and _trim on int64 or object arrays), which
+the Hermite tables, the encoder and the decoder call directly.  _dot is
+the one exact GF(p) matrix product: interpolation, the encoder, the scan
+and _mul (each row times a band matrix) go through it.  It multiplies
+int64 limbs for every p, so no product of a matrix runs on Python ints;
+only its output is combined on them above 2**31 - 1.  A product by
+X - alpha is a shift and a scale, _shift_scale.  _divmod is the one
 division: it takes divisors with any unit leading coefficient and reduces
-only when int64 could overflow.  _dot is the one exact GF(p) matrix
-product: Hermite interpolation, the encoder and the brute-force scan all go
-through it.  It multiplies int64 limbs for every p, so no product of a
-matrix runs on Python ints; only its output is combined on them above
-2**31 - 1.
+only when int64 could overflow.
 """
 
 import numpy as np
@@ -91,21 +92,26 @@ def _trim(a: np.ndarray) -> np.ndarray:
 
 
 def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise products of two stacks of polynomials (coefficient rows,
-    low degree first) over GF(p).
-
-    The outer product of each pair is reduced, then row i is skewed i places
-    to the right by padding and reshaping, so one sum over rows gives the
-    convolution.  Entries stay below p * min(len) < 2**63 on the int64 path.
-    """
+    """Row-wise products of two stacks of coefficient rows over GF(p): the
+    shorter row, reversed, times the band whose row k is the zero-padded
+    longer row from offset k, a strided int64 view that stays in one limb
+    as _dot's right operand on the int64 path."""
     if a.shape[1] > b.shape[1]:
         a, b = b, a
     rows, la, lb = a.shape[0], a.shape[1], b.shape[1]
-    outer = a[:, :, np.newaxis] * b[:, np.newaxis, :] % p
-    padded = np.concatenate([outer, np.zeros((rows, la, la), dtype=outer.dtype)], axis=2)
-    width = la + lb - 1
-    skewed = padded.reshape(rows, -1)[:, : la * width].reshape(rows, la, width)
-    return skewed.sum(axis=1) % p
+    padded = np.zeros((rows, lb + 2 * la - 2), dtype=np.int64)
+    padded[:, la - 1 : la - 1 + lb] = b
+    row, col = padded.strides
+    band = np.ndarray((rows, la, la + lb - 1), np.int64, buffer=padded, strides=(row, col, col))
+    return _dot(a[:, np.newaxis, ::-1], band, p)[:, 0]
+
+
+def _shift_scale(a: np.ndarray, alpha: np.ndarray, p: int) -> np.ndarray:
+    """(X - alpha) * a for a stack of rows and a column alpha of one value
+    per row: a shifted up one place, minus alpha * a mod p, in (-p, p)."""
+    out = np.concatenate([np.zeros_like(a[:, :1]), a], axis=1)  # X * a
+    out[:, :-1] -= alpha * a % p
+    return out % p
 
 
 def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

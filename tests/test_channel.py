@@ -64,6 +64,10 @@ class TestCounting:
     def test_validation(self):
         with pytest.raises(ParameterError):
             count_matrices_of_weight(2, 7, 3)
+        for args in ((2, 7, 1.5), (2, 7, True), (2, 7.5, 2), (2.0, 7, 1), ("2", 7, 1)):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                count_matrices_of_weight(*args)
+        assert count_matrices_of_weight(np.int64(2), np.int64(7), np.int64(2)) == 42
         with pytest.raises(ValueError):
             ChannelSpec(p=6, s=2, r=2, weight=1)
         with pytest.raises(ParameterError):

@@ -251,6 +251,19 @@ class TestDecode:
             out = decode(params, encode(params, f) + err)
             assert isinstance(out, DecodeSuccess) and out.message == f
 
+    def test_numpy_integers_in_an_object_array(self):
+        # A codeword given as an object array of np.int64 at p = 2**61 - 1
+        # with non-unit multipliers: unscaling must not multiply in int64.
+        rnd = random.Random(24)
+        p = 2**61 - 1
+        v = [[rnd.randrange(1, p) for _ in range(4)] for _ in range(3)]
+        params = CodeParams(p, 4, 3, 6, [0, 1, 5, 9], v)
+        f = random_poly(rnd, params.field, params.t)
+        rows = encode(params, f).to_lists()
+        entries = np.array([[np.int64(x) for x in row] for row in rows], dtype=object)
+        out = decode(params, NrtMatrix(params.field, entries))
+        assert isinstance(out, DecodeSuccess) and out.message == f and out.error_weight == 0
+
     def test_s1_agrees_with_classical_reference(self):
         rnd = random.Random(22)
         for _ in range(150):

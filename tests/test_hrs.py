@@ -246,10 +246,17 @@ class TestEncode:
 class TestHermite:
     def test_roundtrip_random(self):
         rnd = random.Random(12)
-        for _ in range(150):
-            p = rnd.choice([5, 7, 13, 2**31 - 1])
-            s = rnd.randint(1, 3)
-            r = rnd.randint(1, min(p, 4))
+
+        def shapes():
+            for _ in range(150):
+                p = rnd.choice([5, 7, 13, 2**31 - 1])
+                s = rnd.randint(1, 3)
+                yield p, rnd.randint(1, min(p, 4)), s
+            # Deep product trees: 6 levels at r = 64, and padding at
+            # several levels at r = 37.
+            yield from [(101, 64, 4), (2**61 - 1, 16, 4), (101, 37, 3)]
+
+        for p, r, s in shapes():
             params = CodeParams(p, r, s, r * s, rnd.sample(range(min(p, 64)), r))
             f = random_poly(rnd, params.field, r * s)
             assert hermite_interpolate(params, encode(params, f)) == f
@@ -326,6 +333,11 @@ class TestBruteForce:
         params = CodeParams(101, 4, 2, 4, [1, 2, 3, 4])
         with pytest.raises(BudgetExceededError):
             brute_force_min_distance(params, budget=10**6)
+        small = CodeParams(5, 3, 2, 3, [0, 1, 2])
+        for budget in (10**6 + 0.5, True, "5", None):
+            with pytest.raises(ParameterError, match="budget must be an integer"):
+                brute_force_min_distance(small, budget=budget)
+        assert brute_force_min_distance(small, budget=np.int64(125)) == 4
         with pytest.raises(BudgetExceededError):
             brute_force_nearest_codeword(
                 params, NrtMatrix(params.field, [[0] * 4] * 2), budget=10**6

@@ -111,7 +111,14 @@ def test_matrix_integer_entries():
     are reduced mod p on both paths, from lists and from uint64 arrays."""
     for p in (7, 2**31 - 1, 2**61 - 1):
         field = PrimeField(p)
-        for bad in ([[True, 2]], [[3, np.False_]], [[1, 2], [3, False]]):
+        for bad in (
+            [[True, 2]],
+            [[3, np.False_]],
+            [[1, 2], [3, False]],
+            np.array([[1.5, 2]], dtype=object),
+            np.array([[True, 2]], dtype=object),
+            np.array([[1, 2 + 0j]], dtype=object),
+        ):
             with pytest.raises(ParameterError, match="must be integers"):
                 NrtMatrix(field, bad)
         big = [[2**63, 2**64 + 5], [-(2**70), np.int64(-3)]]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hrscodes import MAX_CODE_LENGTH, FieldMismatchError, Poly, PrimeField
-from hrscodes.poly import NEG_INF, _divmod, _dot
+from hrscodes.poly import NEG_INF, _divmod, _dot, _mul, _shift_scale
 from reference import (
     evaluate,
     hyperderivative,
@@ -88,6 +88,9 @@ def test_ring_ops_against_naive():
             assert mul(fa, fb) == Poly(field, naive_mul(a, b, p))
             c = rnd.randrange(p)
             assert mul(fa, Poly(field, [c])) == Poly(field, [x * c for x in a])
+            if a:
+                row, alpha = np.array([a], dtype=field.dtype), np.array([[c]], dtype=field.dtype)
+                assert _shift_scale(row, alpha, p).tolist() == [naive_mul(a, [-c % p, 1], p)]
 
 
 def test_divmod_property():
@@ -185,13 +188,30 @@ def test_dot_against_python_ints():
                         assert all(type(x) is int and 0 <= x < p for x in got.flat)
                     else:
                         assert got.dtype == np.int64
-    # Worst cases: every entry p - 1 at the longest code, on both paths.
+    # Stacked operands, (rows, 1, K) @ (rows, K, W): the shape of _mul's band
+    # product and of the Taylor step of the Hermite tables.
+    for p in (2, 101, 2**31 - 1, 2**31 + 11, 2**32 + 15, 2**61 - 1):
+        dtype = PrimeField(p).dtype
+        for inner in (1, 64, 65, 1025):
+            rows, cols = rnd.randint(1, 3), rnd.randint(1, 5)
+            a = [[random_coeffs(rnd, p, inner)] for _ in range(rows)]
+            b = [[random_coeffs(rnd, p, cols) for _ in range(inner)] for _ in range(rows)]
+            want = [naive_dot(x, y, p) for x, y in zip(a, b)]
+            for a_type, b_type in ((dtype, dtype), (np.int64, np.int64), (object, np.int64)):
+                got = _dot(np.array(a, dtype=a_type), np.array(b, dtype=b_type), p)
+                assert got.shape == (rows, 1, cols) and got.tolist() == want
+    # Worst cases: every entry p - 1 at the longest code, on both paths; and
+    # the top product of G's tree at that length, two rows of 1,025.
     k = MAX_CODE_LENGTH
+    half = k // 2 + 1
     for p in (2**31 - 1, 2**61 - 1):
         a = np.full((2, k), p - 1, dtype=np.int64)
         b = np.full((k, 3), p - 1, dtype=np.int64)
         assert _dot(a, b, p).tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
         assert _dot(a[0], b[:, 0], p) == k * (p - 1) ** 2 % p
+        row = np.full((1, half), p - 1, dtype=PrimeField(p).dtype)
+        want = [(min(c, 2 * half - 2 - c) + 1) * (p - 1) ** 2 % p for c in range(2 * half - 1)]
+        assert _mul(row, row, p).tolist() == [want]
 
 
 def test_division_by_zero(gf7):
