@@ -9,17 +9,12 @@ Quick tour:
     [[4, 1, 2, 6], [4, 5, 5, 4]]
     >>> decode(params, encode(params, f)).message == f
     True
+
+The channel names (ChannelSpec, sample_error, run_trials, ...) load
+hrscodes.channel on first use, so a process that only encodes and decodes
+never imports it, nor, on numpy 2, numpy.random.
 """
 
-from .channel import (
-    CSV_HEADER,
-    MISCORRECTED,
-    ChannelSpec,
-    TrialReport,
-    count_matrices_of_weight,
-    run_trials,
-    sample_error,
-)
 from .decoder import (
     DecodeFailure,
     DecodeSuccess,
@@ -42,11 +37,31 @@ from .poly import Poly
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
+_CHANNEL_NAMES = (
     "CSV_HEADER",
     "MISCORRECTED",
     "ChannelSpec",
+    "TrialReport",
+    "count_matrices_of_weight",
+    "run_trials",
+    "sample_error",
+)
+
+
+def __getattr__(name):
+    if name in _CHANNEL_NAMES:
+        from . import channel
+
+        return getattr(channel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_CHANNEL_NAMES})
+
+
+__all__ = [
+    "BudgetExceededError",
     "CodeParams",
     "DEFAULT_BUDGET",
     "DecodeFailure",
@@ -59,9 +74,7 @@ __all__ = [
     "ParameterError",
     "Poly",
     "PrimeField",
-    "TrialReport",
     "brute_force_min_distance",
-    "count_matrices_of_weight",
     "decode",
     "decoding_radius",
     "encode",
@@ -69,6 +82,5 @@ __all__ = [
     "is_prime",
     "nrt_distance",
     "nrt_weight",
-    "run_trials",
-    "sample_error",
+    *_CHANNEL_NAMES,
 ]

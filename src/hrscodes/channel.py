@@ -10,6 +10,8 @@ Draws are defined by the raw 64-bit words of a numpy bit generator (Philox,
 PCG64, PCG64DXSM or SFC64), whose streams numpy keeps stable across versions.
 """
 
+from __future__ import annotations
+
 import time
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
@@ -104,19 +106,30 @@ def _table_fits(p: int, s: int, r: int, w: int) -> bool:
 
 
 @lru_cache(maxsize=32)
+def _column_counts(p: int, s: int) -> tuple[int, ...]:
+    """count_matrices_of_weight(s, p, u) for u = 0..s."""
+    return tuple(count_matrices_of_weight(s, p, u) for u in range(s + 1))
+
+
+@lru_cache(maxsize=32)
 def _tail_counts(p: int, s: int, r: int, w: int):
-    """table[c][v] = number of ways c columns can carry total weight v <= w."""
+    """table[c][v] = number of ways c columns can carry total weight v <= w.
+
+    Row c is the convolution of row c-1 with the column counts 1 and
+    (p-1)*p**(u-1), u = 1..s.  The sliding sum
+    A[v] = sum_{u=1..min(s,v)} p**(u-1)*prev[v-u] = p*A[v-1] + prev[v-1] - p**s*prev[v-1-s]
+    gives each row in O(w) steps as cur[v] = prev[v] + (p-1)*A[v].
+    """
     table = [[0] * (w + 1) for _ in range(r + 1)]
     table[0][0] = 1
-    col = [count_matrices_of_weight(s, p, u) for u in range(min(s, w) + 1)]
+    top = p**s
     for c in range(1, r + 1):
         prev = table[c - 1]
         cur = table[c]
-        for v in range(w + 1):
-            acc = 0
-            for u in range(min(s, v) + 1):
-                acc += col[u] * prev[v - u]
-            cur[v] = acc
+        cur[0], acc = 1, 0
+        for v in range(1, min(w, c * s) + 1):
+            acc = p * acc + prev[v - 1] - (top * prev[v - 1 - s] if v > s else 0)
+            cur[v] = prev[v] + (p - 1) * acc
     return table
 
 
@@ -180,7 +193,7 @@ def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> N
     entries = np.zeros((s, r), dtype=spec.field.dtype)
     remaining = spec.weight
     table = _tail_counts(p, s, r, spec.weight)
-    col_counts = [count_matrices_of_weight(s, p, u) for u in range(s + 1)]
+    col_counts = _column_counts(p, s)
     for j in range(r):
         tail = table[r - 1 - j]
         draw = words.uniform(table[r - j][remaining])

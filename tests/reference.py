@@ -14,8 +14,9 @@ transcription of a definition or of the paper's dense algorithm:
   decode solves by a partial extended Euclid instead, and a hand-built
   solution of it for words close to the code;
 - the NRT weight of one column, the number of matrices of a given NRT
-  weight, the codeword weight from root multiplicities, and the
-  exhaustive nearest-codeword scan;
+  weight, the channel's tail-count table by direct convolution, the
+  codeword weight from root multiplicities, and the exhaustive
+  nearest-codeword scan;
 - the exact-weight sampler written with numpy ``Generator`` calls
   (``bytes`` and ``integers``), whose draws the codec's raw-word sampler
   reproduces word for word.
@@ -432,6 +433,18 @@ def column_weight(col, s: int | None = None) -> int:
 def count_error_matrices(s: int, r: int, p: int, w: int) -> int:
     """Number of s x r matrices of NRT weight exactly w."""
     return _tail_counts(p, s, r, w)[r][w]
+
+
+def tail_counts(p: int, s: int, r: int, w: int) -> list[list[int]]:
+    """table[c][v] = number of ways c columns can carry total weight v <= w,
+    each row the convolution of the one before with the column counts."""
+    table = [[0] * (w + 1) for _ in range(r + 1)]
+    table[0][0] = 1
+    col = [count_matrices_of_weight(s, p, u) for u in range(min(s, w) + 1)]
+    for c in range(1, r + 1):
+        for v in range(w + 1):
+            table[c][v] = sum(col[u] * table[c - 1][v - u] for u in range(min(s, v) + 1))
+    return table
 
 
 def codeword_weight_formula(params: CodeParams, f: Poly) -> int:

@@ -25,7 +25,7 @@ from hrscodes import (
 )
 from hrscodes import channel
 from hrscodes.channel import _stream, _table_fits, _tail_counts
-from reference import column_weight, count_error_matrices, generator_sample_error
+from reference import column_weight, count_error_matrices, generator_sample_error, tail_counts
 
 MODULI = (2, 3, 5, 7, 101, 2**31 - 1, 2**32 + 15, 2**61 - 1)
 BIT_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
@@ -60,6 +60,12 @@ class TestCounting:
         for s, r, p in [(1, 4, 5), (3, 2, 7), (2, 3, 11)]:
             total = sum(count_error_matrices(s, r, p, w) for w in range(s * r + 1))
             assert total == p ** (s * r)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 101, 2**61 - 1])
+    def test_tail_table_matches_convolution(self, p):
+        for s, r in itertools.product(range(1, 5), (1, 2, 3, 5, 8, 16)):
+            for w in sorted({0, 1, s, r * s // 2, r * s}):
+                assert _tail_counts.__wrapped__(p, s, r, w) == tail_counts(p, s, r, w)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

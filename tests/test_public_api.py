@@ -1,13 +1,19 @@
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import hrscodes
+from conftest import GOLDEN_RECEIVED
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PUBLIC = [
     "BudgetExceededError",
@@ -114,3 +120,50 @@ def test_readme_quick_tour():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     assert checked == ["c.to_lists()", "out.message == f", "out.error_weight"]
+
+
+COLD_START = """
+import io, sys
+from contextlib import redirect_stdout
+
+import numpy
+
+# numpy 1.x imports numpy.random itself; numpy 2 loads it on first use.
+lazy = "numpy.random" not in sys.modules
+
+import hrscodes
+
+params = hrscodes.CodeParams(7, r=4, s=2, t=4, alphas=[1, 2, 3, 4])
+f = hrscodes.Poly(params.field, [5, 2, 3, 1])
+assert hrscodes.decode(params, hrscodes.encode(params, f)).message == f
+assert "hrscodes.channel" not in sys.modules, "decode imported the channel"
+assert not lazy or "numpy.random" not in sys.modules, "decode imported numpy.random"
+
+import hrscodes.cli
+
+with redirect_stdout(io.StringIO()) as out:
+    assert hrscodes.cli.main(["decode", "--job", sys.argv[1]]) == 0
+assert '"status": "ok"' in out.getvalue()
+assert not lazy or "numpy.random" not in sys.modules, "the CLI decode imported numpy.random"
+
+assert hrscodes.sample_error is hrscodes.channel.sample_error
+star = {}
+exec("from hrscodes import *", star)
+assert set(hrscodes.__all__) <= set(star), "star import"
+assert set(hrscodes.__all__) <= set(dir(hrscodes)), "dir"
+"""
+
+
+def test_cold_start_loads_only_the_codec(tmp_path):
+    """A fresh process that encodes and decodes, in the library or through
+    the CLI, never imports numpy.random; the channel names still resolve."""
+    job = tmp_path / "job.json"
+    job.write_text(
+        json.dumps({"p": 7, "r": 4, "s": 2, "t": 4, "alphas": [1, 2, 3, 4], "matrix": GOLDEN_RECEIVED})
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(job)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
