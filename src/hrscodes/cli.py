@@ -109,15 +109,13 @@ def _matrix_json(m: NrtMatrix) -> dict:
     return {"s": m.s, "r": m.r, "entries": m.to_lists()}
 
 
-def _cmd_encode(job: dict, out) -> int:
-    params = _params_from_job(job)
+def _cmd_encode(params: CodeParams, job: dict, out) -> int:
     codeword = encode(params, _poly_from_job(params, job))
     print(json.dumps(_matrix_json(codeword)), file=out)
     return 0
 
 
-def _cmd_decode(job: dict, out) -> int:
-    params = _params_from_job(job)
+def _cmd_decode(params: CodeParams, job: dict, out) -> int:
     y = _matrix_from_job(params, job)
     outcome = decode(params, y, job.get("e"))
     if isinstance(outcome, DecodeSuccess):
@@ -132,8 +130,7 @@ def _cmd_decode(job: dict, out) -> int:
     return 0
 
 
-def _cmd_corrupt(job: dict, out) -> int:
-    params = _params_from_job(job)
+def _cmd_corrupt(params: CodeParams, job: dict, out) -> int:
     y = _matrix_from_job(params, job)
     weight, seed = _require(job, "weight"), job.get("seed", 0)
     spec = ChannelSpec(p=params.p, s=params.s, r=params.r, weight=weight, seed=seed)
@@ -143,15 +140,13 @@ def _cmd_corrupt(job: dict, out) -> int:
     return 0
 
 
-def _cmd_interpolate(job: dict, out) -> int:
-    params = _params_from_job(job)
+def _cmd_interpolate(params: CodeParams, job: dict, out) -> int:
     h = hermite_interpolate(params, _matrix_from_job(params, job))
     print(json.dumps({"poly": h.to_list()}), file=out)
     return 0
 
 
-def _cmd_simulate(job: dict, out) -> int:
-    params = _params_from_job(job)
+def _cmd_simulate(params: CodeParams, job: dict, out) -> int:
     weight, trials = _require(job, "weight"), job.get("trials", 100)
     report = run_trials(params, weight, trials, job.get("seed", 0))
     print(CSV_HEADER, file=out)
@@ -159,10 +154,8 @@ def _cmd_simulate(job: dict, out) -> int:
     return 0
 
 
-def _cmd_mindist(job: dict, out) -> int:
-    params = _params_from_job(job)
-    budget = require_int(job.get("budget", DEFAULT_BUDGET), "budget")
-    d = brute_force_min_distance(params, budget)
+def _cmd_mindist(params: CodeParams, job: dict, out) -> int:
+    d = brute_force_min_distance(params, job.get("budget", DEFAULT_BUDGET))
     singleton = params.r * params.s - params.t + 1
     print(json.dumps({"min_distance": d, "mds": d == singleton}), file=out)
     return 0
@@ -232,10 +225,11 @@ def main(argv=None) -> int:
         if not isinstance(job, dict):
             raise ParameterError("job file must hold a JSON object")
         job = _apply_overrides(job, args)
+        params = _params_from_job(job)
         if args.output == "-":
-            return args.handler(job, sys.stdout)
+            return args.handler(params, job, sys.stdout)
         with open(args.output, "w") as out:
-            return args.handler(job, out)
+            return args.handler(params, job, out)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

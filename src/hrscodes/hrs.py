@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParameterError, require_int
 from .field import PrimeField
-from .nrt import NrtMatrix, column_weights
+from .nrt import NrtMatrix, _elements, column_weights
 from .poly import Poly, _divmod, _dot, _mul, _shift_scale
 
 # Cap on p**t for the exhaustive-search oracles.
@@ -77,20 +77,12 @@ class CodeParams:
             raise ParameterError(f"expected {r} evaluation points, got {len(alphas)}")
         if len(set(alphas)) != r:
             raise ParameterError("evaluation points must be pairwise distinct")
-        if multipliers is None:
-            v = np.ones((s, r), dtype=field.dtype)
-        else:
-            v = np.array(multipliers, dtype=object)
-            if v.shape != (s, r):
-                raise ParameterError(
-                    f"multiplier matrix must have shape {(s, r)}, got {v.shape}"
-                )
-            v = np.array(
-                [require_int(x, "multiplier") % field.p for x in v.flat], dtype=field.dtype
-            ).reshape(s, r)
-            if np.any(v == 0):
-                raise ParameterError("multiplier entries must be nonzero")
-        v.flags.writeable = False
+        v = np.ones((s, r), np.int64) if multipliers is None else np.array(multipliers, dtype=object)
+        if v.shape != (s, r):
+            raise ParameterError(f"multiplier matrix must have shape {(s, r)}, got {v.shape}")
+        v = _elements(field, v, "multiplier")
+        if np.any(v == 0):
+            raise ParameterError("multiplier entries must be nonzero")
 
         self.field = field
         self.r = r
@@ -239,6 +231,8 @@ class CodeParams:
 
 
 def _check_message(params: CodeParams, f: Poly) -> None:
+    if not isinstance(f, Poly):
+        raise ParameterError(f"expected Poly, got {type(f).__name__}")
     params.field.require_same(f.field)
     if f.degree > params.t - 1:
         raise ParameterError(

@@ -3,11 +3,12 @@
 A column's weight is s - i + 1 where i is the 1-based index of its topmost
 nonzero entry (0 for a zero column); a matrix weighs the sum of its column
 weights.  Codewords, received words and error patterns all live here.
+Matrix entries and a code's multipliers pass one gate, _elements.
 """
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .field import PrimeField
 
 
@@ -23,26 +24,11 @@ class NrtMatrix:
     __slots__ = ("field", "entries")
 
     def __init__(self, field: PrimeField, entries):
-        given = isinstance(entries, np.ndarray)
-        a = entries if given else np.array(entries, dtype=object)
+        a = entries if isinstance(entries, np.ndarray) else np.array(entries, dtype=object)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ParameterError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
-        if not given or a.dtype == object and not all(type(x) is int for x in a.flat):
-            # Checked one by one: numpy would read [[True, 2]] as int64, and
-            # an object array may hold floats, bools or numpy integers.
-            # Other arrays, and object arrays of Python ints, by dtype only.
-            a = np.array([_entry(x) for x in a.flat], dtype=object).reshape(a.shape)
-        elif a.dtype.kind not in "iuO":
-            raise ParameterError(f"matrix entries must be integers, got dtype {a.dtype}")
-        if np.can_cast(a.dtype, np.int64):
-            a = a.astype(field.dtype)
-            a %= field.p
-        else:
-            # uint64 and Python-int entries may not fit int64: reduce first.
-            a = (a % field.p).astype(field.dtype, copy=False)
-        a.flags.writeable = False
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "entries", _elements(field, a, "matrix entry"))
 
     def __setattr__(self, name, value):
         raise AttributeError("NrtMatrix is immutable")
@@ -84,20 +70,36 @@ class NrtMatrix:
 
     def __add__(self, other):
         self._check(other)
-        return NrtMatrix(self.field, (self.entries + other.entries) % self.field.p)
+        return NrtMatrix(self.field, self.entries + other.entries)
 
     def __sub__(self, other):
         self._check(other)
-        return NrtMatrix(self.field, (self.entries - other.entries) % self.field.p)
+        return NrtMatrix(self.field, self.entries - other.entries)
 
     def __repr__(self):
         return f"NrtMatrix({self.to_lists()}, p={self.field.p})"
 
 
-def _entry(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ParameterError(f"matrix entries must be integers, got {x!r}")
-    return int(x)
+def _elements(field: PrimeField, a: np.ndarray, name: str) -> np.ndarray:
+    """a's integer entries reduced into [0, p), frozen, in the field's dtype.
+
+    Object arrays (a nested list becomes one: numpy would read [[True, 2]]
+    as int64) are checked entry by entry with require_int unless they hold
+    only Python ints; every other array is checked by its dtype.
+    """
+    if a.dtype == object:
+        if not all(type(x) is int for x in a.flat):
+            a = np.array([require_int(x, name) for x in a.flat], dtype=object).reshape(a.shape)
+    elif a.dtype.kind not in "iu":
+        raise ParameterError(f"{name} must be an integer, got dtype {a.dtype}")
+    if np.can_cast(a.dtype, np.int64):
+        a = a.astype(field.dtype)
+        a %= field.p
+    else:
+        # uint64 and Python-int entries may not fit int64: reduce first.
+        a = (a % field.p).astype(field.dtype, copy=False)
+    a.flags.writeable = False
+    return a
 
 
 def column_weights(entries: np.ndarray) -> np.ndarray:

@@ -3,8 +3,10 @@
 Poly is a plain immutable value: coefficients stored low degree first,
 normalized so the top coefficient is nonzero (the zero polynomial has an
 empty coefficient tuple and degree ``-inf``), a field, equality, hashing and
-the one sum the bench uses.  It carries messages, locators and evaluators
-in and out of the codec; none of the codec's arithmetic goes through it.
+the one sum the bench uses.  Coefficients pass errors.require_int, so a
+float, bool, string or complex is refused, not truncated.  It carries
+messages, locators and evaluators in and out of the codec; none of the
+codec's arithmetic goes through it.
 
 That arithmetic is the array kernel at the bottom of this module (_mul,
 _shift_scale, _divmod, _dot and _trim on int64 or object arrays), which
@@ -14,12 +16,15 @@ and _mul (each row times a band matrix) go through it.  It multiplies
 int64 limbs for every p, so no product of a matrix runs on Python ints;
 only its output is combined on them above 2**31 - 1.  A product by
 X - alpha is a shift and a scale, _shift_scale.  _divmod is the one
-division: it takes divisors with any unit leading coefficient and reduces
-only when int64 could overflow.
+division: a stack of rows by monic divisors (the Hermite tables divide by
+(X - alpha_j)**s), or one row by a divisor with any unit leading
+coefficient (the decoder's Euclid and final division); it reduces only
+when int64 could overflow.
 """
 
 import numpy as np
 
+from .errors import require_int
 from .field import _INT64_MODULUS_LIMIT, PrimeField
 
 NEG_INF = float("-inf")
@@ -31,7 +36,8 @@ class Poly:
     __slots__ = ("coeffs", "field")
 
     def __init__(self, field: PrimeField, coeffs=()):
-        reduced = [int(c) % field.p for c in coeffs]
+        p = field.p
+        reduced = [c % p if type(c) is int else require_int(c, "coefficient") % p for c in coeffs]
         while reduced and reduced[-1] == 0:
             reduced.pop()
         object.__setattr__(self, "coeffs", tuple(reduced))
@@ -118,9 +124,9 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     """Division over GF(p) along the last axis, any rank: (q, r) with
     a = q*b + r and r one coefficient shorter than b, untrimmed.
 
-    A divisor's leading coefficient may be any unit: it is inverted once per
-    row, and not at all for a stack of monic divisors.  Each step reads the
-    top of the remainder (a Python int for one row, a column for a stack),
+    Stacked divisors (rank 2 and up) must be monic; a single row may have
+    any unit leading coefficient, inverted once.  Each step reads the top
+    of the remainder (a Python int for one row, a column for a stack),
     reduces and scales it into the next quotient coefficient in place, and
     subtracts that multiple of the divisor from the entries below without
     reducing them.  An entry in [0, p) that then takes k products, each in
@@ -130,13 +136,10 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     reduced once at the end.
     """
     deg = b.shape[-1] - 1
-    low, lead = b[..., :deg], b[..., deg:]
+    low = b[..., :deg]
     row = a.ndim == 1
-    scaled = not row and not (lead == 1).all()
     if row:
-        inv = pow(int(lead[0]), -1, p)
-    elif scaled:
-        inv = np.array([pow(int(c), -1, p) for c in lead.flat], dtype=b.dtype).reshape(lead.shape)
+        inv = pow(int(b[deg]), -1, p)
     rem = a.copy()
     # On object arrays the budget exceeds the step count: no mid-loop reduction.
     budget = a.shape[-1] if rem.dtype == object else ((1 << 63) - 1 - p) // (p - 1) ** 2
@@ -146,8 +149,6 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
         else:
             quot = rem[..., k + deg : k + deg + 1]
             quot %= p
-            if scaled:
-                quot[...] = quot * inv % p
         below = rem[..., k : k + deg]
         if done and done % budget == 0:
             below %= p

@@ -92,7 +92,7 @@ def test_matrix_validation_and_arithmetic(gf7):
     # Float, complex and bool entries are refused, not truncated.
     for bad in ([[1.7, 2]], [[1, 2j]], [[True, False]], np.ones((2, 2))):
         for field in (gf7, PrimeField(2**61 - 1)):
-            with pytest.raises(ParameterError, match="must be integers"):
+            with pytest.raises(ParameterError, match="must be an integer"):
                 NrtMatrix(field, bad)
     big = NrtMatrix(PrimeField(2**61 - 1), np.array([[2**61, 3]], dtype=object))
     assert big.to_lists() == [[1, 3]]
@@ -119,7 +119,7 @@ def test_matrix_integer_entries():
             np.array([[True, 2]], dtype=object),
             np.array([[1, 2 + 0j]], dtype=object),
         ):
-            with pytest.raises(ParameterError, match="must be integers"):
+            with pytest.raises(ParameterError, match="must be an integer"):
                 NrtMatrix(field, bad)
         big = [[2**63, 2**64 + 5], [-(2**70), np.int64(-3)]]
         want = [[x % p for x in row] for row in ([2**63, 2**64 + 5], [-(2**70), -3])]
@@ -132,16 +132,16 @@ def test_matrix_integer_entries():
 def test_matrix_arrays_skip_the_entry_loop(gf7, monkeypatch):
     # Arrays are checked by dtype: encode, sample_error and + build them on
     # the hot path.
-    def refuse(x):
+    def refuse(x, name):
         raise AssertionError("per-entry check on an array input")
 
-    monkeypatch.setattr(nrt, "_entry", refuse)
+    monkeypatch.setattr(nrt, "require_int", refuse)
     for field in (gf7, PrimeField(2**61 - 1)):
         for dtype in (np.int64, np.uint8, np.uint64, object):
             m = NrtMatrix(field, np.array([[1, 9], [0, 3]], dtype=dtype))
             assert m.to_lists() == [[1, 9 % field.p], [0, 3]]
     with pytest.raises(AssertionError):
-        NrtMatrix(gf7, [[1, 2]])
+        NrtMatrix(gf7, [[1, np.int64(2)]])
 
 
 def test_matrix_mismatches(gf7):

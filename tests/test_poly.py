@@ -112,15 +112,18 @@ def test_divmod_property():
 
 def check_divmod_kernel(a, b, p):
     """_divmod on the rows of a and b (lists of equal-length lists) as one
-    stack and, for a single row, as a rank-1 array, against long_division;
-    every entry returned must lie in [0, p)."""
+    stack when every divisor is monic and, for a single row, as a rank-1
+    array, against long_division; every entry returned must lie in [0, p)."""
     dtype = PrimeField(p).dtype
     want = [long_division(x, y, p) for x, y in zip(a, b)]
-    quot, rem = _divmod(np.array(a, dtype=dtype), np.array(b, dtype=dtype), p)
-    results = [list(zip(quot.tolist(), rem.tolist()))]
+    results = []
+    if all(y[-1] == 1 for y in b):
+        quot, rem = _divmod(np.array(a, dtype=dtype), np.array(b, dtype=dtype), p)
+        results.append(list(zip(quot.tolist(), rem.tolist())))
     if len(a) == 1:
         quot, rem = _divmod(np.array(a[0], dtype=dtype), np.array(b[0], dtype=dtype), p)
         results.append([(quot.tolist(), rem.tolist())])
+    assert results
     for result in results:
         assert result == want
         assert all(0 <= c < p for q, r in result for c in q + r)
@@ -131,13 +134,14 @@ def test_divmod_kernel_against_long_division():
     for p in (2, 3, 101, 2**31 - 1, 2**61 - 1):
         for case in range(40):
             # Empty, short and long dividends; divisors up to 3 longer than
-            # the dividend; stacks of 3 rows in half the cases.
+            # the dividend; stacks of 3 rows in a quarter of the cases.
             la = rnd.choice([0, rnd.randint(1, 12), rnd.randint(100, 600)])
             lb = rnd.randint(1, min(la, 40) + 3)
-            rows = 3 if case % 4 < 2 else 1
+            rows = 3 if case % 4 == 1 else 1
             a = [random_coeffs(rnd, p, la) for _ in range(rows)]
             b = [random_coeffs(rnd, p, lb - 1) for _ in range(rows)]
-            # Monic divisors in half the cases, other unit leads otherwise.
+            # Monic divisors in half the cases, other unit leads (single
+            # rows only: stacked divisors must be monic) otherwise.
             for low in b:
                 low.append(1 if case % 2 else rnd.randrange(1, p))
             check_divmod_kernel(a, b, p)
@@ -154,7 +158,8 @@ def test_divmod_kernel_against_long_division():
             assert long_division(worst, b[0], p)[0] == [p - 1] * (601 - lb)
             for a in ([worst], [[p - 1] * 600]):
                 check_divmod_kernel(a, b, p)
-                check_divmod_kernel(a * 2, b * 2, p)
+                if lead == 1:
+                    check_divmod_kernel(a * 2, b * 2, p)
 
 
 def naive_dot(a, b, p):
