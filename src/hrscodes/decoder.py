@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import ParameterError, require_int
 from .field import PrimeField
-from .hrs import CodeParams, _check_received, _interpolate, encode
-from .nrt import NrtMatrix, nrt_distance
+from .hrs import CodeParams, _check_received, _encode, _interpolate
+from .nrt import NrtMatrix, column_weights
 from .poly import Poly, _divmod, _trim
 
 
@@ -117,9 +117,9 @@ def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
 
 def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
     """Run the full pipeline: unscale, interpolate (hrs._interpolate),
-    solve the key equation, divide once (poly._divmod), all on coefficient
-    arrays, then re-encode the quotient and verify its distance to y.  Poly
-    values are built only for the fields of a DecodeSuccess.
+    solve the key equation, divide once (poly._divmod), re-encode the
+    quotient (hrs._encode) and verify its distance to y, all on arrays.
+    Poly values are built only for the fields of a DecodeSuccess.
 
     Returns DecodeSuccess or DecodeFailure; received words beyond the error
     bound are an expected condition, never an exception.  Whenever y is
@@ -143,13 +143,12 @@ def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
     quot, remainder = _divmod(n0, e0, p)
     if remainder.any():
         return DecodeFailure(FailureReason.NON_DIVISIBLE)
-    message = Poly(field, quot.tolist())
-    weight = nrt_distance(encode(params, message), y)
+    weight = int(column_weights((y.entries - _encode(params, quot)) % p).sum())
     if weight > e:
         return DecodeFailure(FailureReason.DISTANCE_EXCEEDED)
     pad = [0] * (e + 1 - len(e0))
     return DecodeSuccess(
-        message=message,
+        message=Poly(field, quot.tolist()),
         error_weight=weight,
         locator=Poly(field, pad + e0.tolist()),
         evaluator=Poly(field, pad + n0.tolist()),

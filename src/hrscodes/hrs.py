@@ -29,7 +29,15 @@ The two tables only poly._dot reads, the basis and the encoding matrix, are
 stored as int64 on every path (their entries are below p < 2**61), since
 _dot multiplies int64 limbs for every p.  G and the derivative table keep
 the field's dtype: they feed elementwise arithmetic.
+
+The derivative table, G and the basis depend on (p, s, alphas) alone, so
+codes that differ only in t or the multipliers share them: each CodeParams
+takes its code's entry of one module-level store, least recently used
+first, which drops the oldest codes once their (rs)**2 add up past
+MAX_CODE_LENGTH**2, so it holds at most one full-length code.
 """
+
+import threading
 
 import numpy as np
 
@@ -54,6 +62,35 @@ _MAX_BUDGET = (1 << 63) - 1
 # object path (an 8-byte pointer plus a Python int per entry), while a code
 # past it could ask for tens of GB.
 MAX_CODE_LENGTH = 2048
+
+# The shared tables: (p, s, alphas) -> {table name: table}, least recently
+# used first, and the sum of (rs)**2 over the codes held.
+_TABLES: dict = {}
+_TABLE_LIMIT = MAX_CODE_LENGTH**2
+_table_area = 0
+_TABLES_LOCK = threading.Lock()
+
+
+def _area(key: tuple) -> int:
+    _, s, alphas = key
+    return (s * len(alphas)) ** 2
+
+
+def _shared_tables(key: tuple) -> dict:
+    """The store entry of the code key = (p, s, alphas), made the most
+    recent; the oldest codes are dropped while the total passes _TABLE_LIMIT,
+    never the one asked for."""
+    global _table_area
+    with _TABLES_LOCK:
+        tables = _TABLES.pop(key, None)
+        if tables is None:
+            tables, _table_area = {}, _table_area + _area(key)
+        _TABLES[key] = tables
+        while _table_area > _TABLE_LIMIT and len(_TABLES) > 1:
+            oldest = next(iter(_TABLES))
+            del _TABLES[oldest]
+            _table_area -= _area(oldest)
+        return tables
 
 
 class CodeParams:
@@ -92,10 +129,9 @@ class CodeParams:
         self.multipliers = v
         self.unit_multipliers = bool(np.all(v == 1))
         self._alpha_col = np.array(alphas, dtype=field.dtype).reshape(r, 1)
-        self._deriv = None
+        self._tables = _shared_tables((field.p, s, alphas))
         self._enc = None
         self._vinv = None
-        self._interp = None
 
     @property
     def p(self) -> int:
@@ -129,7 +165,8 @@ class CodeParams:
         tables the first rs - s + 1, and the dense key-equation system of
         tests/reference.py, for error bound e, the first e + t.
         """
-        if self._deriv is None:
+        tab = self._tables.get("deriv")
+        if tab is None:
             s, r, p = self.s, self.r, self.p
             n = r * s
             tab = np.zeros((s, r, n), dtype=self.field.dtype)
@@ -148,8 +185,8 @@ class CodeParams:
                 binom[i:] = np.cumsum(binom[i - 1 : n - 1]) % p
                 tab[i, :, i:] = tab[0, :, : n - i] * binom[i:] % p
             tab.flags.writeable = False
-            self._deriv = tab
-        return self._deriv
+            self._tables["deriv"] = tab
+        return tab
 
     def encoding_matrix(self) -> np.ndarray:
         """The (s*r) x t int64 matrix mapping coefficient vectors to codeword
@@ -179,7 +216,8 @@ class CodeParams:
         No term of the basis sum reaches degree rs, so none is reduced mod G,
         and a sum of s terms, each below p, fits int64 until the one reduction.
         """
-        if self._interp is None:
+        tables = self._tables.get("interp")
+        if tables is None:
             p, r, s = self.p, self.r, self.s
             n = r * s
             local = np.ones((r, 1), dtype=self.field.dtype)  # (X - alpha_j)**s
@@ -215,8 +253,8 @@ class CodeParams:
             basis = basis.astype(np.int64, copy=False)
             g.flags.writeable = False
             basis.flags.writeable = False
-            self._interp = (g, basis)
-        return self._interp
+            tables = self._tables["interp"] = (g, basis)
+        return tables
 
     def inverse_multipliers(self) -> np.ndarray:
         """Entrywise inverses of the multiplier matrix."""
@@ -240,13 +278,21 @@ def _check_message(params: CodeParams, f: Poly) -> None:
         )
 
 
+def _encode(params: CodeParams, coeffs) -> np.ndarray:
+    """The s x r codeword entries of the message with coefficients `coeffs`
+    (at most t, in [0, p), low degree first), in the field's dtype: one
+    product with the encoding matrix."""
+    padded = np.zeros(params.t, dtype=np.int64)
+    padded[: len(coeffs)] = coeffs
+    flat = _dot(padded, params.encoding_matrix().T, params.p)
+    return flat.reshape(params.s, params.r)
+
+
 def encode(params: CodeParams, f: Poly) -> NrtMatrix:
-    """Evaluate f and its first s-1 hyperderivatives at every alpha."""
+    """Evaluate f and its first s-1 hyperderivatives at every alpha:
+    _encode, as an NrtMatrix."""
     _check_message(params, f)
-    coeffs = np.zeros(params.t, dtype=np.int64)
-    coeffs[: len(f.coeffs)] = f.coeffs
-    flat = _dot(coeffs, params.encoding_matrix().T, params.p)
-    return NrtMatrix(params.field, flat.reshape(params.s, params.r))
+    return NrtMatrix(params.field, _encode(params, f.coeffs))
 
 
 def _check_received(params: CodeParams, y: NrtMatrix) -> None:

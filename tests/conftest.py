@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from hrscodes import CodeParams, NrtMatrix, Poly, PrimeField
+from hrscodes import CodeParams, NrtMatrix, Poly, PrimeField, hrs
 
 GOLDEN_MESSAGE = [5, 2, 3, 1]
 GOLDEN_CODEWORD = [[4, 1, 2, 6], [4, 5, 5, 4]]
@@ -29,6 +29,14 @@ GOLDEN_RHS = [4, 4, 4, 5, 6, 3, 3, 0]
 GOLDEN_SOLUTION = [1, 0, 6, 0, 6, 1, 3, 3]
 GOLDEN_EVALUATOR = [1, 0, 6, 0, 6, 1]
 GOLDEN_LOCATOR = [3, 3, 1]
+
+
+@pytest.fixture
+def empty_table_store(monkeypatch):
+    """hrscodes.hrs's shared code-table store, empty for one test."""
+    monkeypatch.setattr(hrs, "_TABLES", {})
+    monkeypatch.setattr(hrs, "_table_area", 0)
+    return hrs._TABLES
 
 
 @pytest.fixture

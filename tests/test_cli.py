@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hrscodes import CSV_HEADER
+from hrscodes import CSV_HEADER, hrs
 from hrscodes.cli import main
 from conftest import GOLDEN_CODEWORD, GOLDEN_MESSAGE, GOLDEN_RECEIVED
 
@@ -94,6 +94,21 @@ class TestCommands:
         assert header == CSV_HEADER
         cells = row.split(",")
         assert [int(c) for c in cells[:6]] == [2, 20, 20, 0, 0, 0]
+
+    def test_simulate_jobs_share_the_code_tables(
+        self, tmp_path, capsys, monkeypatch, empty_table_store
+    ):
+        # Each job builds its own CodeParams; the Hermite tables are built
+        # once for the code, and the table build is the one caller of
+        # hrs._divmod.
+        builds = []
+        divmod_ = hrs._divmod
+        monkeypatch.setattr(hrs, "_divmod", lambda *args: builds.append(1) or divmod_(*args))
+        job = write_job(tmp_path, "j.json", trials=5, seed=3)
+        for weight in range(4):
+            code, out, _ = run(capsys, ["simulate", "--job", job, "--param", f"weight={weight}"])
+            assert code == 0 and out.startswith(CSV_HEADER)
+        assert len(builds) == 1 and len(empty_table_store) == 1
 
     def test_mindist(self, tmp_path, capsys):
         job = write_job(tmp_path, "j.json")

@@ -20,6 +20,7 @@ from hrscodes import (
     nrt_distance,
     nrt_weight,
 )
+from hrscodes import hrs
 from conftest import (
     GOLDEN_CODEWORD,
     GOLDEN_MESSAGE,
@@ -183,6 +184,63 @@ def table_digest():
         for tab in tables:
             digest.update(repr((tab.shape, tab.tolist())).encode())
     return digest.hexdigest()
+
+
+class TestSharedTables:
+    """Codes with equal (p, s, alphas) share one set of table arrays."""
+
+    @staticmethod
+    def tables(params):
+        return (params.derivative_table(), *params._interpolation_tables())
+
+    def test_equal_codes_share(self, empty_table_store):
+        base = CodeParams(101, 5, 3, 4, [0, 3, 7, 9, 50])
+        for t, v in ((4, None), (9, None), (15, None), (4, np.arange(1, 16).reshape(3, 5))):
+            other = CodeParams(101, 5, 3, t, [101, 3, 7, 9, 50], v)
+            assert all(a is b for a, b in zip(self.tables(base), self.tables(other)))
+        assert len(empty_table_store) == 1
+
+    def test_other_codes_do_not_share(self, empty_table_store):
+        base = CodeParams(101, 5, 3, 4, [0, 3, 7, 9, 50])
+        others = (
+            CodeParams(101, 5, 3, 4, [0, 3, 7, 9, 51]),  # one alpha
+            CodeParams(101, 5, 3, 4, [3, 0, 7, 9, 50]),  # the order of the alphas
+            CodeParams(103, 5, 3, 4, [0, 3, 7, 9, 50]),  # p
+            CodeParams(101, 5, 2, 4, [0, 3, 7, 9, 50]),  # s
+        )
+        for other in others:
+            assert not any(a is b for a, b in zip(self.tables(base), self.tables(other)))
+        assert len(empty_table_store) == 5
+
+    def test_shared_tables_match_a_fresh_build(self, monkeypatch, empty_table_store):
+        codes = [(p, 4, 3, 5, [0, 1, 5, p - 1]) for p in (101, 2**31 - 1, 2**61 - 1)]
+        shared = []
+        for code in codes:
+            CodeParams(*code, multipliers=[[2] * 4] * 3).derivative_table()
+            shared.append(self.tables(CodeParams(*code)))
+        monkeypatch.setattr(hrs, "_TABLES", {})
+        monkeypatch.setattr(hrs, "_table_area", 0)
+        for code, tabs in zip(codes, shared):
+            for tab, fresh in zip(tabs, self.tables(CodeParams(*code))):
+                assert tab is not fresh and not tab.flags.writeable
+                assert tab.dtype == fresh.dtype and tab.tolist() == fresh.tolist()
+
+    def test_oldest_code_evicted_past_the_limit(self, monkeypatch, empty_table_store):
+        # Three codes of (rs)**2 = 36, 36 and 16 under a limit of 80.
+        monkeypatch.setattr(hrs, "_TABLE_LIMIT", 80)
+        first = CodeParams(7, 3, 2, 2, [0, 1, 2])
+        second = CodeParams(7, 3, 2, 2, [0, 1, 3])
+        CodeParams(7, 3, 2, 5, [0, 1, 2])  # first is used again: second is now oldest
+        tab = first.derivative_table()
+        CodeParams(7, 2, 2, 2, [4, 5])
+        keys = [(7, 2, (0, 1, 2)), (7, 2, (4, 5))]
+        assert list(empty_table_store) == keys and hrs._table_area == 52
+        assert CodeParams(7, 3, 2, 3, [0, 1, 2]).derivative_table() is tab
+        assert CodeParams(7, 3, 2, 3, [0, 1, 3]).derivative_table() is not second.derivative_table()
+        # A code past the limit on its own is kept, alone.
+        monkeypatch.setattr(hrs, "_TABLE_LIMIT", 20)
+        CodeParams(7, 7, 1, 2, range(7))
+        assert list(empty_table_store) == [(7, 1, tuple(range(7)))] and hrs._table_area == 49
 
 
 def test_tables_pinned():
