@@ -111,60 +111,34 @@ def _column_counts(p: int, s: int) -> tuple[int, ...]:
     return tuple(count_matrices_of_weight(s, p, u) for u in range(s + 1))
 
 
-@lru_cache(maxsize=32)
-def _tail_table(p: int, s: int, r: int) -> list[list[int]]:
-    """The tail-count table of (p, s, r) at weight 0, which _tail_counts
-    grows in place: row c for weights <= w does not depend on w."""
-    return [[1] for _ in range(r + 1)]
-
-
-def _tail_counts(p: int, s: int, r: int, w: int) -> list[list[int]]:
-    """The cached table of (p, s, r), grown to weight w or more."""
-    return _grow_tail_counts(_tail_table(p, s, r), p, s, w)
-
-
-def _grow_tail_counts(table: list[list[int]], p: int, s: int, w: int) -> list[list[int]]:
-    """table[c][v] = number of ways c columns can carry total weight v,
-    extended in place from its current width to v <= w.
+# One table per (p, s, r, w): a sweep of a few codes over all their weights
+# cycles through dozens, so a smaller cache can miss on every job.
+@lru_cache(maxsize=64)
+def _tail_counts(p: int, s: int, r: int, w: int):
+    """table[c][v] = number of ways c columns can carry total weight v <= w.
 
     Row c is the convolution of row c-1 with the column counts 1 and
     (p-1)*p**(u-1), u = 1..s.  The sliding sum
     A[v] = sum_{u=1..min(s,v)} p**(u-1)*prev[v-u] = p*A[v-1] + prev[v-1] - p**s*prev[v-1-s]
-    gives each row in O(w) steps as cur[v] = prev[v] + (p-1)*A[v]; an
-    extension from width k starts from A[k-1], summed directly.  The rows
-    are replaced at the end, all at once.
+    gives each row in O(w) steps as cur[v] = prev[v] + (p-1)*A[v].
     """
-    k = len(table[0])
-    if k > w:
-        return table
+    table = [[0] * (w + 1) for _ in range(r + 1)]
+    table[0][0] = 1
     top = p**s
-    rows = [table[0] + [0] * (w + 1 - k)]
-    for c in range(1, len(table)):
-        prev, cur = rows[c - 1], table[c][:]
-        hi = min(w, c * s)
-        if k <= hi:
-            acc = sum(p ** (u - 1) * prev[k - 1 - u] for u in range(1, min(s, k - 1) + 1))
-            for v in range(k, hi + 1):
-                acc = p * acc + prev[v - 1] - (top * prev[v - 1 - s] if v > s else 0)
-                cur.append(prev[v] + (p - 1) * acc)
-        rows.append(cur + [0] * (w + 1 - len(cur)))
-    table[:] = rows
+    for c in range(1, r + 1):
+        prev = table[c - 1]
+        cur = table[c]
+        cur[0], acc = 1, 0
+        for v in range(1, min(w, c * s) + 1):
+            acc = p * acc + prev[v - 1] - (top * prev[v - 1 - s] if v > s else 0)
+            cur[v] = prev[v] + (p - 1) * acc
     return table
 
 
 class _Words:
     """numpy's uint32 and uint64 words over a bit generator's raw 64-bit words:
     a uint32 is the low half of a fresh word, whose high half waits in the
-    generator's buffer (has_uint32, uinteger) for the next uint32; a uint64
-    is a fresh word and leaves that half waiting.
-
-    Raw words are read ahead in blocks, kept as their uint32 halves, low
-    half first, from `at` on.  `left` counts the values (uniform and below
-    draws) the caller will still ask for, or fewer: each reads at least one
-    word, so a block holds the raw words of the current request plus
-    left // 2, which the later values read at least.  No block reaches past
-    what numpy would read, and the generator is never rewound.
-    """
+    generator's buffer (has_uint32, uinteger) for the next uint32."""
 
     def __init__(self, bit_generator):
         state = bit_generator.state
@@ -172,59 +146,30 @@ class _Words:
             raise ParameterError(f"bit generator {state['bit_generator']} is not supported")
         self.bit_generator, self.raw = bit_generator, bit_generator.random_raw
         self.entry = self.has, self.half = state["has_uint32"], state["uinteger"]
-        self.halves, self.at, self.left = [], 0, 0
-
-    def _fill(self, n: int):
-        """At least n halves from `at` on, reading a block if they are short."""
-        short = n - len(self.halves) + self.at
-        if short > 0:
-            count = (short + 1) // 2 + max(self.left, 0) // 2
-            if count == 1:  # a scalar read is three times cheaper
-                word = self.raw()
-                block = [word & 0xFFFFFFFF, word >> 32]
-            else:
-                block = self.raw(count).astype("<u8", copy=False).view("<u4").tolist()
-            self.halves, self.at = self.halves[self.at :] + block, 0
 
     def uint32(self, k: int) -> list[int]:
         out, self.has = [self.half] * self.has, 0
-        need = k - len(out)
-        if need > 0:
-            self._fill(need)
-            out += self.halves[self.at : self.at + need]
-            # The high half of the last word read waits if it was not used.
-            self.has = (self.at + need) % 2
-            self.at += need + self.has
-            self.half = self.halves[self.at - 1]
-        return out
-
-    def uint64(self, k: int) -> list[int]:
-        self._fill(2 * k)
-        h = self.halves[self.at : self.at + 2 * k]
-        self.at += 2 * k
-        return [low | high << 32 for low, high in zip(h[::2], h[1::2])]
+        if len(out) < k:
+            for word in self.raw((k - len(out) + 1) // 2).tolist():
+                out += (word & 0xFFFFFFFF, word >> 32)
+            self.has, self.half = int(len(out) > k), out[-1]
+        return out[:k]
 
     def uniform(self, n: int) -> int:
         """[0, n) by rejection on Generator.bytes: whole uint32 words (one
         even for n = 1) masked to the bit length of n - 1."""
         bits, x = (n - 1).bit_length(), n
-        self.left -= 1
         while x >= n:
-            x = 0
-            for word in reversed(self.uint32(max(1, -(-bits // 32)))):
-                x = x << 32 | word
-            x &= (1 << bits) - 1
+            words = self.uint32(max(1, -(-bits // 32)))
+            x = sum(w << 32 * i for i, w in enumerate(words)) & ((1 << bits) - 1)
         return x
 
     def below(self, n: int, k: int) -> list[int]:
         """k draws from [0, n) as Generator.integers makes them: Lemire's
         rejection on uint32 words for n <= 2**32, on raw words above."""
-        if n == 1 or not k:  # no word read
-            return [0] * k
-        bits, out = 32 if n <= 1 << 32 else 64, []
-        self.left -= k
+        bits, out = 32 if n <= 1 << 32 else 64, [] if n > 1 else [0] * k
         while len(out) < k:
-            words = self.uint32(k - len(out)) if bits == 32 else self.uint64(k - len(out))
+            words = self.uint32(k - len(out)) if bits == 32 else self.raw(k - len(out)).tolist()
             out += [w * n >> bits for w in words if w * n % (1 << bits) >= (1 << bits) % n]
         return out
 
@@ -247,25 +192,22 @@ def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> N
         rng = spec.rng()
     words = _Words(rng.bit_generator)
     s, r, p = spec.s, spec.r, spec.p
+    entries = np.zeros((s, r), dtype=spec.field.dtype)
     remaining = spec.weight
     table = _tail_counts(p, s, r, spec.weight)
     col_counts = _column_counts(p, s)
-    flat = [0] * (s * r)
     for j in range(r):
-        # One word per column's weight and per entry still to draw, but
-        # none for a top entry over GF(2), which is always 1.
-        words.left = r - j + (remaining if p > 2 else max(0, remaining - (r - j)))
         tail = table[r - 1 - j]
         draw = words.uniform(table[r - j][remaining])
         u = 0
         while draw >= col_counts[u] * tail[remaining - u]:
             draw -= col_counts[u] * tail[remaining - u]
             u += 1
-        if u > 0:  # rows s-u .. s-1 of column j
-            flat[(s - u) * r + j :: r] = [1 + words.below(p - 1, 1)[0], *words.below(p, u - 1)]
+        if u > 0:
+            entries[s - u :, j] = [1 + words.below(p - 1, 1)[0], *words.below(p, u - 1)]
         remaining -= u
     words.close()
-    return NrtMatrix(spec.field, np.array(flat, dtype=spec.field.dtype).reshape(s, r))
+    return NrtMatrix(spec.field, entries)
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,12 @@ _dot multiplies int64 limbs for every p.  G and the derivative table keep
 the field's dtype: they feed elementwise arithmetic.
 
 The derivative table, G and the basis depend on (p, s, alphas) alone, so
-codes that differ only in t or the multipliers share them: each CodeParams
-takes its code's entry of one module-level store, least recently used
-first, which drops the oldest codes once their (rs)**2 add up past
-MAX_CODE_LENGTH**2, so it holds at most one full-length code.
+codes that differ only in t or the multipliers share them: a code with
+(rs)**2 <= _SHARED_AREA takes its tables from the module-level store
+_shared_tables, which keeps the _SHARED_CODES most recently used codes.
 """
 
-import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,34 +62,19 @@ _MAX_BUDGET = (1 << 63) - 1
 # past it could ask for tens of GB.
 MAX_CODE_LENGTH = 2048
 
-# The shared tables: (p, s, alphas) -> {table name: table}, least recently
-# used first, and the sum of (rs)**2 over the codes held.
-_TABLES: dict = {}
-_TABLE_LIMIT = MAX_CODE_LENGTH**2
-_table_area = 0
-_TABLES_LOCK = threading.Lock()
+# The shared table store holds the tables of the 8 most recently used codes
+# with (rs)**2 <= 64**2, under 2 MiB in all (about 52 bytes per (rs)**2 on
+# the object path): a sweep over a few small codes builds each once, while
+# the tables of larger codes live only as long as their CodeParams.
+_SHARED_AREA = 64**2
+_SHARED_CODES = 8
 
 
-def _area(key: tuple) -> int:
-    _, s, alphas = key
-    return (s * len(alphas)) ** 2
-
-
-def _shared_tables(key: tuple) -> dict:
-    """The store entry of the code key = (p, s, alphas), made the most
-    recent; the oldest codes are dropped while the total passes _TABLE_LIMIT,
-    never the one asked for."""
-    global _table_area
-    with _TABLES_LOCK:
-        tables = _TABLES.pop(key, None)
-        if tables is None:
-            tables, _table_area = {}, _table_area + _area(key)
-        _TABLES[key] = tables
-        while _table_area > _TABLE_LIMIT and len(_TABLES) > 1:
-            oldest = next(iter(_TABLES))
-            del _TABLES[oldest]
-            _table_area -= _area(oldest)
-        return tables
+@lru_cache(maxsize=_SHARED_CODES)
+def _shared_tables(p: int, s: int, alphas: tuple) -> dict:
+    """The store entry of the code (p, s, alphas), filled by CodeParams on
+    first use of each table."""
+    return {}
 
 
 class CodeParams:
@@ -129,7 +113,7 @@ class CodeParams:
         self.multipliers = v
         self.unit_multipliers = bool(np.all(v == 1))
         self._alpha_col = np.array(alphas, dtype=field.dtype).reshape(r, 1)
-        self._tables = _shared_tables((field.p, s, alphas))
+        self._tables = None
         self._enc = None
         self._vinv = None
 
@@ -156,6 +140,14 @@ class CodeParams:
 
     # -- cached tables --------------------------------------------------------
 
+    def _shared(self) -> dict:
+        """The tables of (p, s, alphas), looked up on first use: the shared
+        store's entry, or this code's own for (rs)**2 > _SHARED_AREA."""
+        if self._tables is None:
+            small = (self.r * self.s) ** 2 <= _SHARED_AREA
+            self._tables = _shared_tables(self.p, self.s, self.alphas) if small else {}
+        return self._tables
+
     def derivative_table(self) -> np.ndarray:
         """Array of shape (s, r, rs) with entry (i, j, k) the order-i
         hyperderivative of X**k at alpha_j: C(k, i) * alpha_j**(k-i), and 0
@@ -165,7 +157,7 @@ class CodeParams:
         tables the first rs - s + 1, and the dense key-equation system of
         tests/reference.py, for error bound e, the first e + t.
         """
-        tab = self._tables.get("deriv")
+        tab = self._shared().get("deriv")
         if tab is None:
             s, r, p = self.s, self.r, self.p
             n = r * s
@@ -185,7 +177,7 @@ class CodeParams:
                 binom[i:] = np.cumsum(binom[i - 1 : n - 1]) % p
                 tab[i, :, i:] = tab[0, :, : n - i] * binom[i:] % p
             tab.flags.writeable = False
-            self._tables["deriv"] = tab
+            self._shared()["deriv"] = tab
         return tab
 
     def encoding_matrix(self) -> np.ndarray:
@@ -216,7 +208,7 @@ class CodeParams:
         No term of the basis sum reaches degree rs, so none is reduced mod G,
         and a sum of s terms, each below p, fits int64 until the one reduction.
         """
-        tables = self._tables.get("interp")
+        tables = self._shared().get("interp")
         if tables is None:
             p, r, s = self.p, self.r, self.s
             n = r * s
@@ -253,7 +245,7 @@ class CodeParams:
             basis = basis.astype(np.int64, copy=False)
             g.flags.writeable = False
             basis.flags.writeable = False
-            tables = self._tables["interp"] = (g, basis)
+            tables = self._shared()["interp"] = (g, basis)
         return tables
 
     def inverse_multipliers(self) -> np.ndarray:

@@ -32,11 +32,12 @@ GOLDEN_LOCATOR = [3, 3, 1]
 
 
 @pytest.fixture
-def empty_table_store(monkeypatch):
-    """hrscodes.hrs's shared code-table store, empty for one test."""
-    monkeypatch.setattr(hrs, "_TABLES", {})
-    monkeypatch.setattr(hrs, "_table_area", 0)
-    return hrs._TABLES
+def empty_table_store():
+    """hrscodes.hrs's shared code-table store, emptied before and after one
+    test."""
+    hrs._shared_tables.cache_clear()
+    yield hrs._shared_tables
+    hrs._shared_tables.cache_clear()
 
 
 @pytest.fixture

@@ -24,16 +24,11 @@ from hrscodes import (
     sample_error,
 )
 from hrscodes import channel, hrs
-from hrscodes.channel import _grow_tail_counts, _stream, _table_fits, _tail_counts
+from hrscodes.channel import _stream, _table_fits, _tail_counts
 from reference import column_weight, count_error_matrices, generator_sample_error, tail_counts
 
 MODULI = (2, 3, 5, 7, 101, 2**31 - 1, 2**32 + 15, 2**61 - 1)
 BIT_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
-
-
-def fresh_tail_counts(p, s, r, w):
-    """The tail-count table of (p, s, r) to weight w, built outside the cache."""
-    return _grow_tail_counts([[1] for _ in range(r + 1)], p, s, w)
 
 
 class TestCounting:
@@ -69,23 +64,17 @@ class TestCounting:
     @pytest.mark.parametrize("p", [2, 3, 7, 101, 2**61 - 1])
     def test_tail_table_matches_convolution(self, p):
         for s, r in itertools.product(range(1, 5), (1, 2, 3, 5, 8, 16)):
-            weights = sorted({0, 1, s, r * s // 2, r * s})
-            for w in weights:
-                assert fresh_tail_counts(p, s, r, w) == tail_counts(p, s, r, w)
-            # Grown in place, weight by weight, a table matches a fresh build.
-            table = [[1] for _ in range(r + 1)]
-            for w in weights[::-1][1:] + weights:
-                _grow_tail_counts(table, p, s, w)
-                width = len(table[0])
-                assert table == tail_counts(p, s, r, width - 1)
-                assert [row[: w + 1] for row in table] == tail_counts(p, s, r, w)
+            for w in sorted({0, 1, s, r * s // 2, r * s}):
+                assert _tail_counts.__wrapped__(p, s, r, w) == tail_counts(p, s, r, w)
 
-    def test_tail_table_is_shared_across_weights(self):
-        # One cached table per (p, s, r), grown to the largest weight asked.
-        small = _tail_counts(101, 3, 7, 2)
-        assert _tail_counts(101, 3, 7, 9) is small and len(small[0]) >= 10
-        assert _tail_counts(101, 3, 7, 1) is small
-        assert small == tail_counts(101, 3, 7, len(small[0]) - 1)
+    def test_tail_tables_of_a_sweep_stay_cached(self):
+        # Three codes at every weight, asked in a cycle twice: each table
+        # is built once.
+        keys = [(101, 3, r, w) for r in (7, 10, 16) for w in range(12)]
+        _tail_counts.cache_clear()
+        for key in keys + keys:
+            _tail_counts(*key)
+        assert _tail_counts.cache_info().misses == len(keys)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -283,17 +272,6 @@ class TestAgainstGeneratorSampler:
         theirs.bytes(0)
         assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
 
-    @pytest.mark.parametrize("p", [2, 2**32 + 15])
-    def test_draws_outrun_the_first_block(self, p):
-        # At full weight every entry reads a word (above 2**32 a raw word
-        # each, rejections aside), far past the first block's lower bound.
-        specs = [ChannelSpec(p=p, s=4, r=16, weight=w) for w in (64, 63, 40, 64)]
-        for seed in (0, 5):
-            self.assert_same_draws(lambda: _stream(seed, 2), specs)
-            self.assert_same_draws(
-                lambda: _stream(seed, 2), specs, lambda g: g.integers(0, 7, size=1)
-            )
-
     def test_32_bit_bit_generator_refused(self):
         spec = ChannelSpec(p=7, s=2, r=2, weight=1)
         with pytest.raises(ParameterError, match="MT19937"):
@@ -320,7 +298,7 @@ class TestTailTableCap:
         "p, s, r, w", [(2**61 - 1, 1, 64, 32), (3, 8, 16, 100), (101, 4, 30, 60)]
     )
     def test_estimate_bounds_the_table(self, monkeypatch, p, s, r, w):
-        table = fresh_tail_counts(p, s, r, w)
+        table = _tail_counts.__wrapped__(p, s, r, w)
         size = sys.getsizeof(table) + sum(
             sys.getsizeof(row) + sum(sys.getsizeof(x) for x in row if x > 256) for row in table
         )

@@ -108,7 +108,7 @@ class TestCommands:
         for weight in range(4):
             code, out, _ = run(capsys, ["simulate", "--job", job, "--param", f"weight={weight}"])
             assert code == 0 and out.startswith(CSV_HEADER)
-        assert len(builds) == 1 and len(empty_table_store) == 1
+        assert len(builds) == 1 and empty_table_store.cache_info().currsize == 1
 
     def test_mindist(self, tmp_path, capsys):
         job = write_job(tmp_path, "j.json")

@@ -198,7 +198,7 @@ class TestSharedTables:
         for t, v in ((4, None), (9, None), (15, None), (4, np.arange(1, 16).reshape(3, 5))):
             other = CodeParams(101, 5, 3, t, [101, 3, 7, 9, 50], v)
             assert all(a is b for a, b in zip(self.tables(base), self.tables(other)))
-        assert len(empty_table_store) == 1
+        assert empty_table_store.cache_info().currsize == 1
 
     def test_other_codes_do_not_share(self, empty_table_store):
         base = CodeParams(101, 5, 3, 4, [0, 3, 7, 9, 50])
@@ -210,37 +210,40 @@ class TestSharedTables:
         )
         for other in others:
             assert not any(a is b for a, b in zip(self.tables(base), self.tables(other)))
-        assert len(empty_table_store) == 5
+        assert empty_table_store.cache_info().currsize == 5
 
-    def test_shared_tables_match_a_fresh_build(self, monkeypatch, empty_table_store):
+    def test_shared_tables_match_a_fresh_build(self, empty_table_store):
         codes = [(p, 4, 3, 5, [0, 1, 5, p - 1]) for p in (101, 2**31 - 1, 2**61 - 1)]
         shared = []
         for code in codes:
             CodeParams(*code, multipliers=[[2] * 4] * 3).derivative_table()
             shared.append(self.tables(CodeParams(*code)))
-        monkeypatch.setattr(hrs, "_TABLES", {})
-        monkeypatch.setattr(hrs, "_table_area", 0)
+        empty_table_store.cache_clear()
         for code, tabs in zip(codes, shared):
             for tab, fresh in zip(tabs, self.tables(CodeParams(*code))):
                 assert tab is not fresh and not tab.flags.writeable
                 assert tab.dtype == fresh.dtype and tab.tolist() == fresh.tolist()
 
-    def test_oldest_code_evicted_past_the_limit(self, monkeypatch, empty_table_store):
-        # Three codes of (rs)**2 = 36, 36 and 16 under a limit of 80.
-        monkeypatch.setattr(hrs, "_TABLE_LIMIT", 80)
-        first = CodeParams(7, 3, 2, 2, [0, 1, 2])
-        second = CodeParams(7, 3, 2, 2, [0, 1, 3])
-        CodeParams(7, 3, 2, 5, [0, 1, 2])  # first is used again: second is now oldest
-        tab = first.derivative_table()
-        CodeParams(7, 2, 2, 2, [4, 5])
-        keys = [(7, 2, (0, 1, 2)), (7, 2, (4, 5))]
-        assert list(empty_table_store) == keys and hrs._table_area == 52
-        assert CodeParams(7, 3, 2, 3, [0, 1, 2]).derivative_table() is tab
-        assert CodeParams(7, 3, 2, 3, [0, 1, 3]).derivative_table() is not second.derivative_table()
-        # A code past the limit on its own is kept, alone.
-        monkeypatch.setattr(hrs, "_TABLE_LIMIT", 20)
-        CodeParams(7, 7, 1, 2, range(7))
-        assert list(empty_table_store) == [(7, 1, tuple(range(7)))] and hrs._table_area == 49
+    def test_least_recently_used_code_evicted(self, empty_table_store):
+        codes = [CodeParams(101, 3, 2, 2, [0, 1, a]) for a in range(2, 2 + hrs._SHARED_CODES)]
+        first, second = (code.derivative_table() for code in codes[:2])
+        for code in codes[2:]:
+            code.derivative_table()
+        # first is used again, so second is now the oldest; one more code
+        # evicts it.
+        assert CodeParams(101, 3, 2, 5, [0, 1, 2]).derivative_table() is first
+        CodeParams(101, 3, 2, 2, [0, 1, 99]).derivative_table()
+        assert CodeParams(101, 3, 2, 3, [0, 1, 2]).derivative_table() is first
+        assert CodeParams(101, 3, 2, 3, [0, 1, 3]).derivative_table() is not second
+        assert empty_table_store.cache_info().currsize == hrs._SHARED_CODES
+
+    def test_large_codes_keep_their_own_tables(self, empty_table_store):
+        # (rs)**2 = 64**2 is shared, 65**2 is not.
+        small = [CodeParams(101, 64, 1, t, range(64)) for t in (3, 9)]
+        assert small[0].derivative_table() is small[1].derivative_table()
+        large = [CodeParams(101, 65, 1, t, range(65)) for t in (3, 9)]
+        assert all(a is not b for a, b in zip(self.tables(large[0]), self.tables(large[1])))
+        assert empty_table_store.cache_info().currsize == 1
 
 
 def test_tables_pinned():
