@@ -105,12 +105,6 @@ def _table_fits(p: int, s: int, r: int, w: int) -> bool:
     return total <= _MAX_TABLE_BYTES
 
 
-@lru_cache(maxsize=32)
-def _column_counts(p: int, s: int) -> tuple[int, ...]:
-    """count_matrices_of_weight(s, p, u) for u = 0..s."""
-    return tuple(count_matrices_of_weight(s, p, u) for u in range(s + 1))
-
-
 # One table per (p, s, r, w): a sweep of a few codes over all their weights
 # cycles through dozens, so a smaller cache can miss on every job.
 @lru_cache(maxsize=64)
@@ -195,7 +189,7 @@ def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> N
     entries = np.zeros((s, r), dtype=spec.field.dtype)
     remaining = spec.weight
     table = _tail_counts(p, s, r, spec.weight)
-    col_counts = _column_counts(p, s)
+    col_counts = table[1]  # one column: count_matrices_of_weight(s, p, u)
     for j in range(r):
         tail = table[r - 1 - j]
         draw = words.uniform(table[r - j][remaining])

@@ -15,7 +15,7 @@ import sys
 
 from .channel import CSV_HEADER, ChannelSpec, run_trials, sample_error
 from .decoder import DecodeSuccess, decode
-from .errors import BudgetExceededError, ParameterError, require_int
+from .errors import BudgetExceededError, ParameterError
 from .hrs import (
     DEFAULT_BUDGET,
     CodeParams,
@@ -52,56 +52,54 @@ def _require(job: dict, key: str):
     return job[key]
 
 
-def _reduce_ints(p: int, values, label: str) -> list[int]:
-    """Reduce a flat list into [0, p), warning once if anything was out."""
-    out = []
-    clipped = 0
-    for v in values:
-        v = require_int(v, label)
-        if not 0 <= v < p:
-            clipped += 1
-        out.append(v % p)
+def _warn_out_of_range(p: int, values, label: str) -> None:
+    """Warn once if any of values, accepted by the library, lay outside [0, p)."""
+    clipped = sum(not 0 <= v < p for v in values)
     if clipped:
         print(
             f"warning: {clipped} value(s) in '{label}' reduced mod {p}",
             file=sys.stderr,
         )
-    return out
 
 
-def _reduce_rows(p: int, raw, label: str) -> list[list[int]]:
-    """Reduce a list of rows into [0, p), rejecting anything else."""
+def _rows(raw, label: str) -> list:
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ParameterError(f"'{label}' must be a list of rows")
-    return [_reduce_ints(p, row, label) for row in raw]
+    return raw
 
 
 def _params_from_job(job: dict) -> CodeParams:
-    p = require_int(_require(job, "p"), "p")
-    r, s, t = _require(job, "r"), _require(job, "s"), _require(job, "t")
+    p, r, s, t = (_require(job, key) for key in "prst")
     alphas = _require(job, "alphas")
     if not isinstance(alphas, list):
         raise ParameterError("'alphas' must be a list")
-    alphas = _reduce_ints(p, alphas, "alphas")
     multipliers = job.get("multipliers")
     if multipliers is not None:
-        multipliers = _reduce_rows(p, multipliers, "multipliers")
-    return CodeParams(p, r, s, t, alphas, multipliers)
+        multipliers = _rows(multipliers, "multipliers")
+    params = CodeParams(p, r, s, t, alphas, multipliers)
+    _warn_out_of_range(params.p, alphas, "alphas")
+    for row in multipliers or ():
+        _warn_out_of_range(params.p, row, "multipliers")
+    return params
 
 
 def _poly_from_job(params: CodeParams, job: dict) -> Poly:
     coeffs = _require(job, "poly")
     if not isinstance(coeffs, list):
         raise ParameterError("'poly' must be a list of coefficients")
-    return Poly(params.field, _reduce_ints(params.p, coeffs, "poly"))
+    poly = Poly(params.field, coeffs)
+    _warn_out_of_range(params.p, coeffs, "poly")
+    return poly
 
 
 def _matrix_from_job(params: CodeParams, job: dict) -> NrtMatrix:
     raw = _require(job, "matrix")
     if isinstance(raw, dict):
         raw = _require(raw, "entries")
-    m = NrtMatrix(params.field, _reduce_rows(params.p, raw, "matrix"))
+    m = NrtMatrix(params.field, _rows(raw, "matrix"))
     _check_received(params, m)
+    for row in raw:
+        _warn_out_of_range(params.p, row, "matrix")
     return m
 
 
@@ -233,7 +231,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

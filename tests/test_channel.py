@@ -65,7 +65,12 @@ class TestCounting:
     def test_tail_table_matches_convolution(self, p):
         for s, r in itertools.product(range(1, 5), (1, 2, 3, 5, 8, 16)):
             for w in sorted({0, 1, s, r * s // 2, r * s}):
-                assert _tail_counts.__wrapped__(p, s, r, w) == tail_counts(p, s, r, w)
+                table = _tail_counts.__wrapped__(p, s, r, w)
+                assert table == tail_counts(p, s, r, w)
+                # sample_error reads the column counts from row 1.
+                top = min(w, s)
+                counts = [count_matrices_of_weight(s, p, u) for u in range(top + 1)]
+                assert table[1][: top + 1] == counts
 
     def test_tail_tables_of_a_sweep_stay_cached(self):
         # Three codes at every weight, asked in a cycle twice: each table

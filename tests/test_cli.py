@@ -187,6 +187,22 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["decode", "--job", str(path)])
         assert code == 2
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "j.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, ["decode", "--job", str(path)])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_modulus_checked_first(self, tmp_path, capsys):
+        # p is refused by the field before any value is reduced by it: no
+        # division by zero, and no warning quoting an invalid modulus.
+        for p in (0, -7):
+            job = write_job(tmp_path, "j.json", p=p, poly=GOLDEN_MESSAGE)
+            code, out, err = run(capsys, ["encode", "--job", job])
+            assert code == 2 and out == ""
+            assert err == f"error: modulus must satisfy 2 <= p < 2**61, got {p}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["decode", "--job", "/nonexistent/j.json"])
         assert code == 2
