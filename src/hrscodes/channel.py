@@ -6,8 +6,8 @@ are (p-1)*p**(u-1) such columns; a tail-count table over these column
 counts lets each column weight be drawn with its exact conditional
 probability, using arbitrary-precision integers throughout.
 
-Draws are defined by the raw 64-bit words of a numpy bit generator (Philox,
-PCG64, PCG64DXSM or SFC64), whose streams numpy keeps stable across versions.
+Draws are defined by the word streams of any numpy bit generator, which
+numpy keeps stable across versions.
 """
 
 from __future__ import annotations
@@ -130,77 +130,69 @@ def _tail_counts(p: int, s: int, r: int, w: int):
 
 
 class _Words:
-    """numpy's uint32 and uint64 words over a bit generator's raw 64-bit words:
-    a uint32 is the low half of a fresh word, whose high half waits in the
-    generator's buffer (has_uint32, uinteger) for the next uint32."""
+    """A bit generator's own C word functions, the ones Generator calls:
+    next_uint32 keeps numpy's buffered half word in the generator's state."""
 
     def __init__(self, bit_generator):
-        state = bit_generator.state
-        if "has_uint32" not in state:
-            raise ParameterError(f"bit generator {state['bit_generator']} is not supported")
-        self.bit_generator, self.raw = bit_generator, bit_generator.random_raw
-        self.entry = self.has, self.half = state["has_uint32"], state["uinteger"]
-
-    def uint32(self, k: int) -> list[int]:
-        out, self.has = [self.half] * self.has, 0
-        if len(out) < k:
-            for word in self.raw((k - len(out) + 1) // 2).tolist():
-                out += (word & 0xFFFFFFFF, word >> 32)
-            self.has, self.half = int(len(out) > k), out[-1]
-        return out[:k]
+        c = bit_generator.ctypes
+        self.state, self.next_uint32, self.next_uint64 = c.state, c.next_uint32, c.next_uint64
 
     def uniform(self, n: int) -> int:
         """[0, n) by rejection on Generator.bytes: whole uint32 words (one
         even for n = 1) masked to the bit length of n - 1."""
         bits, x = (n - 1).bit_length(), n
         while x >= n:
-            words = self.uint32(max(1, -(-bits // 32)))
-            x = sum(w << 32 * i for i, w in enumerate(words)) & ((1 << bits) - 1)
+            x = 0
+            for shift in range(0, max(bits, 32), 32):
+                x |= self.next_uint32(self.state) << shift
+            x &= (1 << bits) - 1
         return x
 
     def below(self, n: int, k: int) -> list[int]:
         """k draws from [0, n) as Generator.integers makes them: Lemire's
-        rejection on uint32 words for n <= 2**32, on raw words above."""
-        bits, out = 32 if n <= 1 << 32 else 64, [] if n > 1 else [0] * k
+        rejection on uint32 words for n <= 2**32, on uint64 words above, and
+        no word read for n = 1."""
+        if n == 1:
+            return [0] * k
+        bits, word = (32, self.next_uint32) if n <= 1 << 32 else (64, self.next_uint64)
+        out, low, threshold = [], (1 << bits) - 1, (1 << bits) % n
         while len(out) < k:
-            words = self.uint32(k - len(out)) if bits == 32 else self.raw(k - len(out)).tolist()
-            out += [w * n >> bits for w in words if w * n % (1 << bits) >= (1 << bits) % n]
+            m = word(self.state) * n
+            if m & low >= threshold:
+                out.append(m >> bits)
         return out
-
-    def close(self):
-        if (self.has, self.half) != self.entry:
-            state = self.bit_generator.state
-            state["has_uint32"], state["uinteger"] = self.has, self.half
-            self.bit_generator.state = state
 
 
 def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> NrtMatrix:
     """One matrix drawn uniformly among those of NRT weight exactly spec.weight.
 
-    The draws are read from the raw words of rng's bit generator as
+    The draws are read from the C word functions of rng's bit generator as
     Generator.bytes and Generator.integers would read them, and leave it
     where those calls would: numpy keeps raw streams stable across versions,
-    not Generator methods.  Philox, PCG64, PCG64DXSM and SFC64 are accepted.
+    not Generator methods.  Any numpy bit generator is accepted; its lock is
+    held while the words are read, as Generator methods hold it.
     """
     if rng is None:
         rng = spec.rng()
+    if not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     words = _Words(rng.bit_generator)
     s, r, p = spec.s, spec.r, spec.p
     entries = np.zeros((s, r), dtype=spec.field.dtype)
     remaining = spec.weight
     table = _tail_counts(p, s, r, spec.weight)
     col_counts = table[1]  # one column: count_matrices_of_weight(s, p, u)
-    for j in range(r):
-        tail = table[r - 1 - j]
-        draw = words.uniform(table[r - j][remaining])
-        u = 0
-        while draw >= col_counts[u] * tail[remaining - u]:
-            draw -= col_counts[u] * tail[remaining - u]
-            u += 1
-        if u > 0:
-            entries[s - u :, j] = [1 + words.below(p - 1, 1)[0], *words.below(p, u - 1)]
-        remaining -= u
-    words.close()
+    with rng.bit_generator.lock:
+        for j in range(r):
+            tail = table[r - 1 - j]
+            draw = words.uniform(table[r - j][remaining])
+            u = 0
+            while draw >= col_counts[u] * tail[remaining - u]:
+                draw -= col_counts[u] * tail[remaining - u]
+                u += 1
+            if u > 0:
+                entries[s - u :, j] = [1 + words.below(p - 1, 1)[0], *words.below(p, u - 1)]
+            remaining -= u
     return NrtMatrix(spec.field, entries)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -28,7 +29,13 @@ from hrscodes.channel import _stream, _table_fits, _tail_counts
 from reference import column_weight, count_error_matrices, generator_sample_error, tail_counts
 
 MODULI = (2, 3, 5, 7, 101, 2**31 - 1, 2**32 + 15, 2**61 - 1)
-BIT_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+BIT_GENERATORS = (
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.SFC64,
+)
 
 
 class TestCounting:
@@ -177,6 +184,24 @@ class TestSampling:
             got = (f[FailureReason.NO_SOLUTION.value], f[FailureReason.NON_DIVISIBLE.value])
             assert got + (f[MISCORRECTED],) == counts
 
+    def test_draw_holds_the_generator_lock(self):
+        # Words are read through ctypes calls, which release the GIL: while
+        # another thread holds the bit generator's lock, no draw starts, not
+        # even one that reads only the buffered half word integers(0, 7)
+        # left behind.
+        spec = ChannelSpec(p=2, s=1, r=1, weight=1, seed=2)
+        rng = spec.rng()
+        rng.integers(0, 7)
+        out = []
+        worker = threading.Thread(target=lambda: out.append(sample_error(spec, rng)))
+        with rng.bit_generator.lock:
+            worker.start()
+            worker.join(0.2)
+            assert worker.is_alive()
+        worker.join(10)
+        assert not worker.is_alive()
+        assert nrt_weight(out[0]) == spec.weight
+
     def test_big_modulus(self):
         p = (1 << 61) - 1
         spec = ChannelSpec(p=p, s=2, r=3, weight=4, seed=9)
@@ -276,11 +301,6 @@ class TestAgainstGeneratorSampler:
         assert sample_error(spec, ours).to_lists() == [[1]]
         theirs.bytes(0)
         assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
-
-    def test_32_bit_bit_generator_refused(self):
-        spec = ChannelSpec(p=7, s=2, r=2, weight=1)
-        with pytest.raises(ParameterError, match="MT19937"):
-            sample_error(spec, np.random.Generator(np.random.MT19937(1)))
 
 
 class TestTailTableCap:

@@ -20,6 +20,7 @@ from hrscodes import (
     decode,
     encode,
     run_trials,
+    sample_error,
 )
 
 
@@ -82,3 +83,12 @@ def test_encode_refuses_a_message_that_is_not_a_poly():
     for message in ([1, 2], (1, 2), np.array([1, 2]), 3):
         with pytest.raises(ParameterError, match="expected Poly"):
             encode(code(7), message)
+
+
+@pytest.mark.parametrize(
+    "rng", [np.random.PCG64(1), np.random.RandomState(1), 1], ids=lambda g: type(g).__name__
+)
+def test_sample_error_refuses_an_rng_that_is_not_a_generator(rng):
+    message = f"^rng must be a numpy.random.Generator, got {type(rng).__name__}$"
+    with pytest.raises(ParameterError, match=message):
+        sample_error(spec(7), rng)
