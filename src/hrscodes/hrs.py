@@ -9,9 +9,10 @@ The entries C(k, i) * alpha_j**(k-i) live in one cached table
 tables.  Besides the encoder this module provides Hermite interpolation
 (the inverse of the all-ones encoder on full-length messages) and the
 exhaustive minimum-distance scan behind the CLI's mindist; its budget may
-not pass 2**63 - 1, since messages are numbered in int64.  The encoder and
-the scan's batched re-encoding are each one exact GF(p) matrix product,
-poly._dot.
+not pass 2**63 - 1, since messages are numbered in int64.  The generator is
+the first t columns of the derivative table: the encoder is one exact GF(p)
+matrix product with them, poly._dot, scaled entrywise by the multipliers
+afterwards, and the scan's batched re-encoding is the same product unscaled.
 
 Hermite interpolation is one product with a cached basis: entry (i, j) of
 the basis is the polynomial of degree < rs whose only nonzero
@@ -25,10 +26,11 @@ So an interpolation is one (rs)-by-(rs) vector-matrix product, poly._dot:
 the private _interpolate, on arrays, which the decoder calls;
 hermite_interpolate wraps it to take an NrtMatrix and return a Poly.
 
-The two tables only poly._dot reads, the basis and the encoding matrix, are
-stored as int64 on every path (their entries are below p < 2**61), since
-_dot multiplies int64 limbs for every p.  G and the derivative table keep
-the field's dtype: they feed elementwise arithmetic.
+The two (rs)**2-sized tables, the derivative table and the basis, are read
+only by poly._dot, so both are stored as int64 on every path (their entries
+are below p < 2**61), since _dot multiplies int64 limbs for every p.  G, the
+multipliers and their inverses keep the field's dtype: they feed elementwise
+arithmetic.
 
 The derivative table, G and the basis depend on (p, s, alphas) alone, so
 codes that differ only in t or the multipliers share them: a code with
@@ -56,16 +58,16 @@ _MAX_BUDGET = (1 << 63) - 1
 
 # Largest code length r*s.  The two biggest cached tables, the Hermite basis
 # and the derivative table, hold (rs)**2 entries each: at 2048 that is
-# 4,194,304 entries.  The basis is int64 on every path, 32 MiB; the
-# derivative table is 32 MiB on the int64 path and 176 MiB (measured) on the
-# object path (an 8-byte pointer plus a Python int per entry), while a code
-# past it could ask for tens of GB.
+# 4,194,304 entries, stored as int64 on every path, 32 MiB each.  The object
+# path builds each in the field's dtype first, 176 MiB (measured; an 8-byte
+# pointer plus a Python int per entry) until the cast, while a code past it
+# could ask for tens of GB.
 MAX_CODE_LENGTH = 2048
 
 # The shared table store holds the tables of the 8 most recently used codes
-# with (rs)**2 <= 64**2, under 2 MiB in all (about 52 bytes per (rs)**2 on
-# the object path): a sweep over a few small codes builds each once, while
-# the tables of larger codes live only as long as their CodeParams.
+# with (rs)**2 <= 64**2, under 1 MiB in all (two int64 tables, 16 bytes per
+# (rs)**2 on every path): a sweep over a few small codes builds each once,
+# while the tables of larger codes live only as long as their CodeParams.
 _SHARED_AREA = 64**2
 _SHARED_CODES = 8
 
@@ -114,7 +116,6 @@ class CodeParams:
         self.unit_multipliers = bool(np.all(v == 1))
         self._alpha_col = np.array(alphas, dtype=field.dtype).reshape(r, 1)
         self._tables = None
-        self._enc = None
         self._vinv = None
 
     @property
@@ -151,11 +152,11 @@ class CodeParams:
     def derivative_table(self) -> np.ndarray:
         """Array of shape (s, r, rs) with entry (i, j, k) the order-i
         hyperderivative of X**k at alpha_j: C(k, i) * alpha_j**(k-i), and 0
-        for k < i.
+        for k < i.  Built in the field's dtype, stored as int64.
 
-        The encoder reads the first t columns, the Taylor step of the Hermite
-        tables the first rs - s + 1, and the dense key-equation system of
-        tests/reference.py, for error bound e, the first e + t.
+        The encoder and the scan read the first t columns, the Taylor step of
+        the Hermite tables the first rs - s + 1, and the dense key-equation
+        system of tests/reference.py, for error bound e, the first e + t.
         """
         tab = self._shared().get("deriv")
         if tab is None:
@@ -176,26 +177,10 @@ class CodeParams:
                 # Hockey stick: C(k, i) = sum of C(i-1 .. k-1, i-1), k >= i.
                 binom[i:] = np.cumsum(binom[i - 1 : n - 1]) % p
                 tab[i, :, i:] = tab[0, :, : n - i] * binom[i:] % p
+            tab = tab.astype(np.int64, copy=False)
             tab.flags.writeable = False
             self._shared()["deriv"] = tab
         return tab
-
-    def encoding_matrix(self) -> np.ndarray:
-        """The (s*r) x t int64 matrix mapping coefficient vectors to codeword
-        entries.
-
-        Row i*r+j holds the coefficients of c -> v_{i,j} * d^(i)f(alpha_j):
-        entry k is v_{i,j} * C(k, i) * alpha_j**(k-i).
-        """
-        if self._enc is None:
-            s, r, t = self.s, self.r, self.t
-            enc = self.derivative_table()[:, :, :t].reshape(s * r, t)
-            if not self.unit_multipliers:
-                enc = enc * self.multipliers.reshape(s * r, 1) % self.p
-            enc = enc.astype(np.int64, copy=False)
-            enc.flags.writeable = False
-            self._enc = enc
-        return self._enc
 
     def _interpolation_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(G, basis): G is prod_j (X - alpha_j)**s as rs + 1 coefficients,
@@ -273,11 +258,16 @@ def _check_message(params: CodeParams, f: Poly) -> None:
 def _encode(params: CodeParams, coeffs) -> np.ndarray:
     """The s x r codeword entries of the message with coefficients `coeffs`
     (at most t, in [0, p), low degree first), in the field's dtype: one
-    product with the encoding matrix."""
-    padded = np.zeros(params.t, dtype=np.int64)
+    product with the first t columns of the derivative table, then the
+    multipliers entrywise."""
+    s, r, t = params.s, params.r, params.t
+    padded = np.zeros(t, dtype=np.int64)
     padded[: len(coeffs)] = coeffs
-    flat = _dot(padded, params.encoding_matrix().T, params.p)
-    return flat.reshape(params.s, params.r)
+    gen = params.derivative_table()[:, :, :t].reshape(s * r, t)
+    entries = _dot(padded, gen.T, params.p).reshape(s, r)
+    if not params.unit_multipliers:
+        entries = entries * params.multipliers % params.p
+    return entries
 
 
 def encode(params: CodeParams, f: Poly) -> NrtMatrix:
@@ -344,15 +334,20 @@ def _message_batch(params: CodeParams, lo: int, hi: int) -> np.ndarray:
 
 
 def brute_force_min_distance(params: CodeParams, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum NRT weight over all nonzero codewords, by full enumeration."""
+    """Minimum NRT weight over all nonzero codewords, by full enumeration.
+
+    The codewords are enumerated without the multipliers: a nonzero entrywise
+    scale keeps the zero pattern of every column, and so its NRT weight.
+    """
     count = _check_budget(params, budget)
-    enc_t = params.encoding_matrix().T
-    best = params.s * params.r
+    s, r, t = params.s, params.r, params.t
+    gen_t = params.derivative_table()[:, :, :t].reshape(s * r, t).T
+    best = s * r
     for lo in range(0, count, _BATCH):
         hi = min(lo + _BATCH, count)
         msgs = _message_batch(params, lo, hi)
-        flat = _dot(msgs, enc_t, params.p)
-        weights = column_weights(flat.reshape(-1, params.s, params.r)).sum(axis=1)
+        flat = _dot(msgs, gen_t, params.p)
+        weights = column_weights(flat.reshape(-1, s, r)).sum(axis=1)
         if lo == 0:
             weights = weights[1:]  # message 0 is the zero codeword
         if weights.size:

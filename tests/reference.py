@@ -15,8 +15,8 @@ transcription of a definition or of the paper's dense algorithm:
   solution of it for words close to the code;
 - the NRT weight of one column, the number of matrices of a given NRT
   weight, the channel's tail-count table by direct convolution, the
-  codeword weight from root multiplicities, and the exhaustive
-  nearest-codeword scan;
+  codeword weight from root multiplicities, the generator matrix with
+  the multipliers applied, and the exhaustive nearest-codeword scan;
 - the exact-weight sampler written with numpy ``Generator`` calls
   (``bytes`` and ``integers``), whose draws the codec's raw-word sampler
   reproduces word for word.
@@ -457,6 +457,15 @@ def codeword_weight_formula(params: CodeParams, f: Poly) -> int:
     return total
 
 
+def encoding_matrix(params: CodeParams) -> np.ndarray:
+    """The (s*r) x t int64 generator matrix: row i*r+j maps coefficient
+    vectors to v_{i,j} * d^(i)f(alpha_j), so entry k is
+    v_{i,j} * C(k, i) * alpha_j**(k-i)."""
+    s, r, t = params.s, params.r, params.t
+    gen = params.derivative_table()[:, :, :t].reshape(s * r, t)
+    return (gen * params.multipliers.reshape(s * r, 1) % params.p).astype(np.int64)
+
+
 def nearest_codeword_multiplicity(
     params: CodeParams, y: NrtMatrix, budget: int = DEFAULT_BUDGET
 ):
@@ -467,7 +476,7 @@ def nearest_codeword_multiplicity(
     """
     _check_received(params, y)
     count = _check_budget(params, budget)
-    enc_t = params.encoding_matrix().T
+    enc_t = encoding_matrix(params).T
     target = y.entries.reshape(1, params.s * params.r)
     best_dist = None
     best_n = 0

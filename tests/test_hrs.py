@@ -32,6 +32,7 @@ from reference import (
     binomial,
     brute_force_nearest_codeword,
     codeword_weight_formula,
+    encoding_matrix,
     evaluate,
     hyperderivative,
     monomial,
@@ -137,20 +138,16 @@ class TestCodeParams:
                         assert deriv[i, j, k] == evaluate(hyperderivative(xk, i), alpha)
 
     def test_table_dtypes(self):
-        # The basis and the encoding matrix, read only by _dot, are int64 on
-        # every path; G and the derivative table keep the field's dtype.
+        # The derivative table and the basis, read only by _dot, are int64 on
+        # every path; G keeps the field's dtype.
         for p in (101, 2**31 - 1, 2**61 - 1):
             for v in (None, [[1, 2, 3], [p - 1, 5, 6]]):
                 params = CodeParams(p, 3, 2, 6, [0, 1, 5], v)
                 g, basis = params._interpolation_tables()
-                assert basis.dtype == np.int64 and params.encoding_matrix().dtype == np.int64
+                deriv = params.derivative_table()
+                assert basis.dtype == np.int64 and deriv.dtype == np.int64
+                assert not basis.flags.writeable and not deriv.flags.writeable
                 assert g.dtype == params.field.dtype
-                assert params.derivative_table().dtype == params.field.dtype
-                assert not basis.flags.writeable and not params.encoding_matrix().flags.writeable
-                # No copy on the int64 path: at t = rs with unit multipliers
-                # the encoding matrix is a view of the derivative table.
-                shared = np.shares_memory(params.encoding_matrix(), params.derivative_table())
-                assert shared == (v is None and params.field.uses_int64)
 
 
 def table_codes(rnd):
@@ -174,13 +171,14 @@ def table_codes(rnd):
 
 
 def table_digest():
-    """sha256 over G, the Hermite basis, the encoding matrix and the first
-    t + radius columns of the derivative table of every table_codes code."""
+    """sha256 over G, the Hermite basis, the encoding matrix of
+    reference.encoding_matrix and the first t + radius columns of the
+    derivative table of every table_codes code."""
     digest = hashlib.sha256()
     for params in table_codes(random.Random(31)):
         g, basis = params._interpolation_tables()
         width = params.t + decoding_radius(params)
-        tables = (g, basis, params.encoding_matrix(), params.derivative_table()[:, :, :width])
+        tables = (g, basis, encoding_matrix(params), params.derivative_table()[:, :, :width])
         for tab in tables:
             digest.update(repr((tab.shape, tab.tolist())).encode())
     return digest.hexdigest()
@@ -293,9 +291,10 @@ class TestEncode:
             assert (lhs == rhs).all()
 
     def test_large_modulus(self):
-        # Two limbs on the int64 path, then the object path; multipliers
-        # p - 1 at alpha = 1 give encoding rows of all p - 1, the worst case
-        # for the limb width.
+        # Two limbs on the int64 path, then the object path.  The multipliers
+        # p - 1 scale the product entrywise and never reach _dot; messages of
+        # all p - 1 against the powers of alpha = p - 1, all 1 or p - 1, are
+        # _dot's worst case for the limb width.
         for p in (2**31 - 1, 2**61 - 1):
             for mult in (None, [[p - 1] * 3] * 2):
                 params = CodeParams(p, 3, 2, 4, [1, 2, p - 1], mult)
@@ -389,6 +388,21 @@ class TestBruteForce:
         assert brute_force_min_distance(CodeParams(7, 2, 2, 2, [1, 2])) == 3
         # t = rs forces distance 1
         assert brute_force_min_distance(CodeParams(3, 2, 2, 4, [0, 1])) == 1
+
+    def test_min_distance_ignores_multipliers(self):
+        # Nonzero multipliers keep every column's zero pattern, so the scan
+        # (which skips them) finds the unit code's distance, rs - t + 1.
+        rnd = random.Random(15)
+        for _ in range(30):
+            p = rnd.choice([3, 5, 7])
+            base = random_code(rnd, p)
+            while p**base.t > 10**4:
+                base = random_code(rnd, p)
+            v = [[rnd.randint(1, p - 1) for _ in range(base.r)] for _ in range(base.s)]
+            v[0][0] = rnd.randint(2, p - 1)
+            scaled = CodeParams(p, base.r, base.s, base.t, base.alphas, v)
+            want = base.r * base.s - base.t + 1
+            assert brute_force_min_distance(scaled) == brute_force_min_distance(base) == want
 
     def test_budget_guard(self):
         params = CodeParams(101, 4, 2, 4, [1, 2, 3, 4])

@@ -88,6 +88,26 @@ NRT_MATRIX_MEMBERS = [
 ]
 
 
+# CodeParams keeps its tables behind the derivative table and the Hermite
+# tables; the generator matrix with the multipliers is a test oracle,
+# reference.encoding_matrix.  Public instance attributes count here too.
+CODE_PARAMS_MEMBERS = [
+    "__eq__",
+    "__init__",
+    "__repr__",
+    "alphas",
+    "derivative_table",
+    "field",
+    "inverse_multipliers",
+    "multipliers",
+    "p",
+    "r",
+    "s",
+    "t",
+    "unit_multipliers",
+]
+
+
 def members(cls):
     """Public names and dunder methods defined on cls itself."""
     return sorted(
@@ -100,6 +120,12 @@ def members(cls):
 def test_value_type_members():
     assert members(hrscodes.Poly) == POLY_MEMBERS
     assert members(hrscodes.NrtMatrix) == NRT_MATRIX_MEMBERS
+
+
+def test_code_params_members():
+    params = hrscodes.CodeParams(7, 4, 2, 4, [1, 2, 3, 4])
+    public = [name for name in vars(params) if not name.startswith("_")]
+    assert sorted(members(hrscodes.CodeParams) + public) == CODE_PARAMS_MEMBERS
 
 
 def test_readme_quick_tour():
