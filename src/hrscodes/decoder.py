@@ -23,15 +23,16 @@ Computer Algebra, Lemma 5.15).  So:
   (non_divisible when not), and the quotient N/E = N0/E0 is the same;
   its degree is deg N0 - deg E0 <= t-1, so it is a message of the code.
 
-Any quotient is re-encoded and its NRT distance to y checked, so decode
-never returns a wrong message.  That check cannot fail: DISTANCE_EXCEEDED
-cannot occur, and the check, the enum value and the CSV column stay as a
-guard.  If E0 divides N0 with f = N0/E0, then N0 = E0*H (mod G) gives
-E0*(H - f) = 0 (mod G).  With m_j the multiplicity of alpha_j in E0,
-H - f then vanishes to order at least s - m_j at alpha_j, so its first
-s - m_j hyperderivatives there are 0.  Those are the top s - m_j entries of
-column j of y - enc(f) with the multipliers divided out, so that column
-weighs at most m_j, and the distance is at most sum m_j <= deg E0 <= e.
+decode returns deg E0 as the error weight, the NRT distance from y to the
+codeword of f = N0/E0, without re-encoding f; it never returns a wrong
+message.  At most: N0 = E0*H (mod G) gives E0*(H - f) = 0 (mod G), so with
+m_j the multiplicity of alpha_j in E0, H - f vanishes to order >= s - m_j
+at alpha_j: the top s - m_j entries of column j of y - enc(f), multipliers
+divided out, are 0, and the distance is at most sum m_j <= deg E0 <= e.  At
+least: the error locator L = prod_j (X - alpha_j)**w_j of y - enc(f), w_j
+its column weights, has degree d <= e and (L*f, L) solves the key equation,
+so E0 divides L and deg E0 <= d.  So DISTANCE_EXCEEDED is never returned,
+and fail_distance in a trial report always reads 0; both keep the CSV layout.
 """
 
 from dataclasses import dataclass
@@ -41,8 +42,8 @@ import numpy as np
 
 from .errors import ParameterError, require_int
 from .field import PrimeField
-from .hrs import CodeParams, _check_received, _encode, _interpolate
-from .nrt import NrtMatrix, column_weights
+from .hrs import CodeParams, _check_received, _interpolate
+from .nrt import NrtMatrix
 from .poly import Poly, _divmod, _trim
 
 
@@ -51,7 +52,7 @@ class FailureReason(str, Enum):
     NO_SOLUTION = "no_solution"
     # Solutions exist but their locator does not divide their N.
     NON_DIVISIBLE = "non_divisible"
-    # N/E is a polynomial but its codeword is farther than e from y.
+    # Never returned (see the module docstring); kept for the CSV column.
     DISTANCE_EXCEEDED = "distance_exceeded"
 
 
@@ -84,11 +85,11 @@ def _check_bound(params: CodeParams, e: int) -> int:
     return e
 
 
-def _unscaled(params: CodeParams, y: NrtMatrix) -> np.ndarray:
-    """y's entries with the multipliers divided out: raw hyperderivative values."""
+def _unscaled(params: CodeParams, entries: np.ndarray) -> np.ndarray:
+    """Received s x r entries, or a stack, with the multipliers divided out."""
     if params.unit_multipliers:
-        return y.entries
-    return y.entries * params.inverse_multipliers() % params.p
+        return entries
+    return entries * params.inverse_multipliers() % params.p
 
 
 def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
@@ -115,41 +116,47 @@ def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
     return w1[m:], _trim(w1[:m])
 
 
-def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
-    """Run the full pipeline: unscale, interpolate (hrs._interpolate),
-    solve the key equation, divide once (poly._divmod), re-encode the
-    quotient (hrs._encode) and verify its distance to y, all on arrays.
-    Poly values are built only for the fields of a DecodeSuccess.
-
-    Returns DecodeSuccess or DecodeFailure; received words beyond the error
-    bound are an expected condition, never an exception.  Whenever y is
-    within NRT distance e of a codeword of the code, that codeword's
-    message is returned.  On success the locator is monic of degree exactly
-    e and the evaluator is locator * message.
-    """
-    _check_received(params, y)
-    if e is None:
-        e = decoding_radius(params)
-    e = _check_bound(params, e)
+def _solve(params: CodeParams, h: np.ndarray, e: int):
+    """Solve the key equation for interpolant h and bound e: the partial Euclid,
+    two degree tests, one N0/E0 division.  A FailureReason, or (quot, E0, N0)."""
     field, p, t = params.field, params.p, params.t
-    h = _interpolate(params, _unscaled(params, y))
     g = params._interpolation_tables()[0]
     rem, cof = _partial_euclid(field, g, h, e + t)
     scale = field.inv(int(cof[-1]))
     n0, e0 = rem * scale % p, cof * scale % p
     # Both are trimmed, so deg = len - 1; N0 = 0 passes the second test.
     if len(e0) - 1 > e or len(n0) - len(e0) > t - 1:
-        return DecodeFailure(FailureReason.NO_SOLUTION)
+        return FailureReason.NO_SOLUTION
     quot, remainder = _divmod(n0, e0, p)
     if remainder.any():
-        return DecodeFailure(FailureReason.NON_DIVISIBLE)
-    weight = int(column_weights((y.entries - _encode(params, quot)) % p).sum())
-    if weight > e:
-        return DecodeFailure(FailureReason.DISTANCE_EXCEEDED)
-    pad = [0] * (e + 1 - len(e0))
+        return FailureReason.NON_DIVISIBLE
+    return quot, e0, n0
+
+
+def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
+    """Run the full pipeline on arrays: check the input, unscale,
+    interpolate (hrs._interpolate), solve the key equation (_solve).  Poly
+    values are built only for the fields of a DecodeSuccess.
+
+    Returns DecodeSuccess or DecodeFailure; received words beyond the error
+    bound are an expected condition, never an exception.  Whenever y is
+    within NRT distance e of a codeword of the code, that codeword's
+    message is returned.  On success the error weight is deg E0, the NRT
+    distance from y to that codeword, the locator X**(e - deg E0) * E0 is
+    monic of degree exactly e, and the evaluator is locator * message.
+    """
+    _check_received(params, y)
+    if e is None:
+        e = decoding_radius(params)
+    e = _check_bound(params, e)
+    solved = _solve(params, _interpolate(params, _unscaled(params, y.entries)), e)
+    if isinstance(solved, FailureReason):
+        return DecodeFailure(solved)
+    quot, e0, n0 = solved
+    field, pad = params.field, [0] * (e + 1 - len(e0))
     return DecodeSuccess(
         message=Poly(field, quot.tolist()),
-        error_weight=weight,
+        error_weight=len(e0) - 1,
         locator=Poly(field, pad + e0.tolist()),
         evaluator=Poly(field, pad + n0.tolist()),
     )

@@ -154,7 +154,7 @@ class CodeParams:
         hyperderivative of X**k at alpha_j: C(k, i) * alpha_j**(k-i), and 0
         for k < i.  Built in the field's dtype, stored as int64.
 
-        The encoder and the scan read the first t columns, the Taylor step of
+        The encoder and the scan read at most the first t columns, the Taylor step of
         the Hermite tables the first rs - s + 1, and the dense key-equation
         system of tests/reference.py, for error bound e, the first e + t.
         """
@@ -256,15 +256,15 @@ def _check_message(params: CodeParams, f: Poly) -> None:
 
 
 def _encode(params: CodeParams, coeffs) -> np.ndarray:
-    """The s x r codeword entries of the message with coefficients `coeffs`
-    (at most t, in [0, p), low degree first), in the field's dtype: one
-    product with the first t columns of the derivative table, then the
-    multipliers entrywise."""
-    s, r, t = params.s, params.r, params.t
-    padded = np.zeros(t, dtype=np.int64)
-    padded[: len(coeffs)] = coeffs
-    gen = params.derivative_table()[:, :, :t].reshape(s * r, t)
-    entries = _dot(padded, gen.T, params.p).reshape(s, r)
+    """The s x r codeword entries, in the field's dtype, of the message with
+    coefficients `coeffs` (k <= t of them, in [0, p), low degree first; a
+    stack gives a stack): one product with the first k columns of the
+    derivative table, then the multipliers entrywise."""
+    s, r = params.s, params.r
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    *lead, k = coeffs.shape
+    gen = params.derivative_table()[:, :, :k].reshape(s * r, k)
+    entries = _dot(coeffs, gen.T, params.p).reshape(*lead, s, r)
     if not params.unit_multipliers:
         entries = entries * params.multipliers % params.p
     return entries
@@ -289,11 +289,11 @@ def _check_received(params: CodeParams, y: NrtMatrix) -> None:
 
 def _interpolate(params: CodeParams, entries: np.ndarray) -> np.ndarray:
     """Coefficients of the Hermite interpolant of the s x r raw derivative
-    values `entries`, rs of them, low degree first and untrimmed, in the
-    dtype of G: one product with the cached basis."""
+    values `entries` (a stack gives one row each), rs of them, low degree
+    first and untrimmed, in the dtype of G: one product with the cached basis."""
     n = params.r * params.s
     basis = params._interpolation_tables()[1]
-    return _dot(entries.reshape(n), basis.reshape(n, n), params.p)
+    return _dot(entries.reshape(*entries.shape[:-2], n), basis.reshape(n, n), params.p)
 
 
 def hermite_interpolate(params: CodeParams, y: NrtMatrix) -> Poly:

@@ -19,7 +19,9 @@ transcription of a definition or of the paper's dense algorithm:
   the multipliers applied, and the exhaustive nearest-codeword scan;
 - the exact-weight sampler written with numpy ``Generator`` calls
   (``bytes`` and ``integers``), whose draws the codec's raw-word sampler
-  reproduces word for word.
+  reproduces word for word;
+- the trial loop that encodes and decodes one trial at a time through
+  the public decode, whose reports the codec's block loop reproduces.
 """
 
 from dataclasses import dataclass
@@ -27,14 +29,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from hrscodes import CodeParams, NrtMatrix, ParameterError, Poly, PrimeField
-from hrscodes.channel import ChannelSpec, _tail_counts, count_matrices_of_weight
-from hrscodes.decoder import _check_bound, _unscaled
+from hrscodes.channel import (
+    MISCORRECTED,
+    ChannelSpec,
+    TrialReport,
+    _stream,
+    _tail_counts,
+    count_matrices_of_weight,
+    sample_error,
+)
+from hrscodes.decoder import DecodeSuccess, FailureReason, _check_bound, _unscaled, decode
 from hrscodes.hrs import (
     _BATCH,
     DEFAULT_BUDGET,
     _check_budget,
     _check_message,
     _check_received,
+    _encode,
     _message_batch,
     encode,
     hermite_interpolate,
@@ -402,7 +413,7 @@ def existence_witness(
     if nrt_distance(encode(params, message), y) > e:
         raise ParameterError("message is farther than e from y")
 
-    gap = sub(message, hermite_interpolate(params, NrtMatrix(field, _unscaled(params, y))))
+    gap = sub(message, hermite_interpolate(params, NrtMatrix(field, _unscaled(params, y.entries))))
     orders = [vanishing_order(gap, alpha, cap=s) for alpha in params.alphas]
     delta = sum(s - nu for nu in orders)
     if delta < e and 0 in params.alphas:
@@ -548,3 +559,33 @@ def generator_sample_error(spec: ChannelSpec, rng: np.random.Generator | None = 
                 entries[s - u + 1 :, j] = [int(x) for x in rng.integers(0, p, size=u - 1)]
         remaining -= u
     return NrtMatrix(gf, entries)
+
+
+def run_trials(params: CodeParams, weight: int, trials: int, seed: int) -> TrialReport:
+    """channel.run_trials one trial at a time, without its timing: draw the
+    message and the error from the trial's own stream, encode the message,
+    decode the received word with the public decode and compare."""
+    spec = ChannelSpec(p=params.p, s=params.s, r=params.r, weight=weight, seed=seed)
+    counts = {
+        FailureReason.NO_SOLUTION.value: 0,
+        FailureReason.NON_DIVISIBLE.value: 0,
+        FailureReason.DISTANCE_EXCEEDED.value: 0,
+        MISCORRECTED: 0,
+    }
+    successes = 0
+    rng = _stream(spec.seed, 0)
+    fresh = rng.bit_generator.state
+    for index in range(trials):
+        fresh["state"]["key"][1] = index
+        rng.bit_generator.state = fresh
+        coeffs = rng.integers(0, params.p, size=params.t)
+        noisy = NrtMatrix(params.field, _encode(params, coeffs) + sample_error(spec, rng).entries)
+        outcome = decode(params, noisy)
+        if isinstance(outcome, DecodeSuccess):
+            if outcome.message == Poly(params.field, coeffs.tolist()):
+                successes += 1
+            else:
+                counts[MISCORRECTED] += 1
+        else:
+            counts[outcome.reason.value] += 1
+    return TrialReport(weight=spec.weight, trials=trials, successes=successes, failures=counts)

@@ -27,6 +27,7 @@ from hrscodes import (
 from hrscodes import channel, hrs
 from hrscodes.channel import _stream, _table_fits, _tail_counts
 from reference import column_weight, count_error_matrices, generator_sample_error, tail_counts
+from reference import run_trials as trial_by_trial
 
 MODULI = (2, 3, 5, 7, 101, 2**31 - 1, 2**32 + 15, 2**61 - 1)
 BIT_GENERATORS = (
@@ -333,6 +334,12 @@ class TestTailTableCap:
         assert _table_fits(p, s, r, w)
 
 
+# Trial counts around the block size: none, one, a block short, a block, one
+# over, and two blocks and two over.
+B = channel._BLOCK
+TRIAL_COUNTS = (0, 1, B - 1, B, B + 1, 2 * B + 2)
+
+
 class TestTrials:
     def test_within_radius_always_recovers(self, golden_params):
         report = run_trials(golden_params, weight=2, trials=50, seed=3)
@@ -369,7 +376,7 @@ class TestTrials:
         messages, errors = [], []
 
         def record_encode(params, coeffs):
-            messages.append(coeffs.tolist())
+            messages.extend(np.reshape(coeffs, (-1, params.t)).tolist())
             return hrs._encode(params, coeffs)
 
         def record_error(spec, rng):
@@ -384,6 +391,43 @@ class TestTrials:
             rng = _stream(seed, index)
             assert messages[index] == rng.integers(0, p, size=3).tolist()
             assert errors[index] == sample_error(spec, rng)
+
+    @pytest.mark.parametrize("multiplied", [False, True])
+    @pytest.mark.parametrize("p", [2, 3, 7, 101, 2**31 - 1, 2**61 - 1])
+    def test_blocks_report_what_trial_by_trial_decoding_reports(self, p, multiplied):
+        # Every weight of one code, below and beyond the radius, and every
+        # trial count around the block size: the block loop and the public
+        # decode, one trial at a time, count the same outcomes.
+        rnd = random.Random(f"blocks:{p}:{multiplied}")
+        r, s = (2, 2) if p == 2 else (3, 2)
+        alphas = rnd.sample(range(min(p, 10**6)), r)
+        v = [[rnd.randrange(1, p) for _ in range(r)] for _ in range(s)] if multiplied else None
+        params = CodeParams(p, r, s, rnd.randint(1, r * s - 1), alphas, v)
+        failed = 0
+        for weight in range(r * s + 1):
+            for trials in TRIAL_COUNTS:
+                seed = rnd.getrandbits(64)
+                report = run_trials(params, weight, trials, seed)
+                assert report == trial_by_trial(params, weight, trials, seed), (weight, trials)
+                failed += report.trials - report.successes
+        assert failed  # weights past the radius do fail
+
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    def test_one_encode_and_one_interpolation_per_block(self, monkeypatch, golden_params, trials):
+        calls = {"_encode": 0, "_interpolate": 0}
+
+        def counted(name):
+            def call(*args):
+                calls[name] += 1
+                return getattr(hrs, name)(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(channel, name, counted(name))
+        run_trials(golden_params, weight=2, trials=trials, seed=1)
+        blocks = -(-trials // B)
+        assert calls == {"_encode": blocks, "_interpolate": blocks}
 
     def test_zero_trials(self, golden_params):
         report = run_trials(golden_params, weight=1, trials=0, seed=0)

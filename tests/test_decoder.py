@@ -19,6 +19,8 @@ from hrscodes import (
     nrt_distance,
     sample_error,
 )
+from hrscodes.decoder import _solve, _unscaled
+from hrscodes.hrs import _interpolate
 from conftest import (
     GOLDEN_LOCATOR,
     GOLDEN_M,
@@ -38,6 +40,7 @@ from reference import (
     nearest_codeword_multiplicity,
     poly_divmod,
     solve,
+    taylor,
     zero_poly,
 )
 
@@ -319,6 +322,49 @@ class TestEuclidAgainstDenseSystem:
                         assert out == DecodeFailure(reason), case
                         seen.add(reason)
         assert seen == {"ok", FailureReason.NO_SOLUTION, FailureReason.NON_DIVISIBLE}
+
+
+def scalar_distance(params, f, y):
+    """NRT distance from y to the codeword of f, column by column: the
+    codeword column is v_j times the first s Taylor coefficients of f at
+    alpha_j, and a column whose topmost difference is in row i weighs s - i."""
+    p, s, total = params.p, params.s, 0
+    for j, alpha in enumerate(params.alphas):
+        column = taylor(f, alpha, s)
+        diff = [(int(y.entries[i, j]) - int(params.multipliers[i, j]) * column[i]) % p for i in range(s)]
+        total += s - next((i for i, d in enumerate(diff) if d), s)
+    return total
+
+
+class TestErrorWeightIsLocatorDegree:
+    def test_weight_is_deg_e0_and_the_distance(self):
+        """The reported weight is deg E0, the locator is X**(e - deg E0) * E0,
+        and both equal the NRT distance from y to the decoded codeword,
+        recomputed from Taylor coefficients; DISTANCE_EXCEEDED never occurs."""
+        rnd = random.Random(27)
+        seen = set()
+        for params in differential_codes(rnd):
+            p, n, field = params.p, params.r * params.s, params.field
+            radius = decoding_radius(params)
+            rows = [[rnd.randrange(p) for _ in range(params.r)] for _ in range(params.s)]
+            words = [NrtMatrix(field, rows)]
+            for weight in (rnd.randint(0, radius), radius, rnd.randint(radius, n)):
+                f = random_poly(rnd, field, params.t)
+                spec = ChannelSpec(p=p, s=params.s, r=params.r, weight=weight, seed=rnd.getrandbits(32))
+                words.append(encode(params, f) + sample_error(spec))
+            for y in words:
+                for e in sorted({rnd.randint(0, radius), radius}):
+                    out = decode(params, y, e)
+                    case = (p, params.r, params.s, params.t, params.alphas, e, y.to_lists())
+                    if not out.ok:
+                        assert out.reason != FailureReason.DISTANCE_EXCEEDED, case
+                        continue
+                    h = _interpolate(params, _unscaled(params, y.entries))
+                    e0 = Poly(field, _solve(params, h, e)[1].tolist())
+                    assert e0.degree == out.error_weight == scalar_distance(params, out.message, y), case
+                    assert out.locator == mul(monomial(field, e - e0.degree), e0), case
+                    seen.add(out.error_weight == e)
+        assert seen == {False, True}
 
 
 EDGE_MODULI = (2, 7, 101, 2**31 - 1, 2**61 - 1)

@@ -21,6 +21,7 @@ from hrscodes import (
     nrt_weight,
 )
 from hrscodes import hrs
+from hrscodes.decoder import _unscaled
 from conftest import (
     GOLDEN_CODEWORD,
     GOLDEN_MESSAGE,
@@ -301,6 +302,36 @@ class TestEncode:
                 for coeffs in ([p - 1, p - 2, 1, 5], [p - 1] * 4):
                     f = Poly(params.field, coeffs)
                     assert encode(params, f) == encode_slow(params, f)
+
+
+class TestStacks:
+    """_encode, _unscaled and _interpolate on a (T, ...) stack give, row by
+    row, what they give on each row alone."""
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("multiplied", [False, True])
+    @pytest.mark.parametrize("p", [7, 101, 2**31 - 1, 2**61 - 1])
+    def test_rows_of_a_stack(self, p, multiplied, count):
+        rnd = random.Random(f"stacks:{p}:{multiplied}:{count}")
+        r, s = 4, 3
+        v = [[rnd.randrange(1, p) for _ in range(r)] for _ in range(s)] if multiplied else None
+        params = CodeParams(p, r, s, 7, rnd.sample(range(min(p, 10**6)), r), v)
+        assert params.field.uses_int64 == (p <= 2**31 - 1)
+        messages = np.array([[rnd.randrange(p) for _ in range(7)] for _ in range(count)])
+        words = np.array(
+            [[[rnd.randrange(p) for _ in range(r)] for _ in range(s)] for _ in range(count)],
+            dtype=params.field.dtype,
+        )
+        for stage, stack in (
+            (hrs._encode, messages),
+            (_unscaled, words),
+            (hrs._interpolate, words),
+        ):
+            whole = stage(params, stack)
+            rows = [stage(params, row) for row in stack]
+            assert whole.shape == (count, *rows[0].shape)
+            assert whole.dtype == rows[0].dtype
+            assert whole.tolist() == [row.tolist() for row in rows]
 
 
 class TestHermite:

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import re
@@ -55,6 +57,29 @@ def test_public_api():
         assert getattr(hrscodes, name) is not None
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("hrscodes.linalg")
+
+
+def test_decode_and_trial_api_pinned():
+    # decode and run_trials may change inside; what callers see stays.
+    assert str(inspect.signature(hrscodes.decode)) == (
+        "(params: hrscodes.hrs.CodeParams, y: hrscodes.nrt.NrtMatrix, e: int | None = None)"
+    )
+    assert str(inspect.signature(hrscodes.run_trials)) == (
+        "(params: 'CodeParams', weight: 'int', trials: 'int', seed: 'int') -> 'TrialReport'"
+    )
+    fields = [(f.name, f.type, f.compare) for f in dataclasses.fields(hrscodes.TrialReport)]
+    assert fields == [
+        ("weight", "int", True),
+        ("trials", "int", True),
+        ("successes", "int", True),
+        ("failures", "dict[str, int]", True),
+        ("mean_decode_us", "float", False),
+    ]
+    assert {m.name: m.value for m in hrscodes.FailureReason} == {
+        "NO_SOLUTION": "no_solution",
+        "NON_DIVISIBLE": "non_divisible",
+        "DISTANCE_EXCEEDED": "distance_exceeded",
+    }
 
 
 # Poly and NrtMatrix are value types: arithmetic lives in the array kernel,
