@@ -3,8 +3,9 @@
 Sampling is uniform over all s x r matrices of NRT weight exactly w.  A
 column of weight u > 0 is free below its topmost nonzero entry, so there
 are (p-1)*p**(u-1) such columns; a tail-count table over these column
-counts lets each column weight be drawn with its exact conditional
-probability, using arbitrary-precision integers throughout.
+counts, built once by each ChannelSpec for all of its draws, lets each
+column weight be drawn with its exact conditional probability, using
+arbitrary-precision integers throughout.
 
 Draws are defined by the word streams of any numpy bit generator, which
 numpy keeps stable across versions.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,8 +50,10 @@ class ChannelSpec:
     r: int
     weight: int
     seed: int = 0
-    # The field of p, validated once here for every draw of the spec.
+    # The field of p and the tail-count table, built once here for every
+    # draw of the spec.
     field: PrimeField = dataclass_field(init=False, repr=False, compare=False)
+    _tails: list = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("p", "s", "r", "weight", "seed"):
@@ -65,6 +67,7 @@ class ChannelSpec:
             )
         if not _table_fits(self.p, self.s, self.r, self.weight):
             raise ParameterError(f"tail-count table of {self} exceeds {_MAX_TABLE_BYTES >> 20} MiB")
+        object.__setattr__(self, "_tails", _tail_counts(self.p, self.s, self.r, self.weight))
 
     def rng(self) -> np.random.Generator:
         return _stream(self.seed, 0)
@@ -108,9 +111,6 @@ def _table_fits(p: int, s: int, r: int, w: int) -> bool:
     return total <= _MAX_TABLE_BYTES
 
 
-# One table per (p, s, r, w): a sweep of a few codes over all their weights
-# cycles through dozens, so a smaller cache can miss on every job.
-@lru_cache(maxsize=64)
 def _tail_counts(p: int, s: int, r: int, w: int):
     """table[c][v] = number of ways c columns can carry total weight v <= w.
 
@@ -183,7 +183,7 @@ def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> N
     s, r, p = spec.s, spec.r, spec.p
     entries = np.zeros((s, r), dtype=spec.field.dtype)
     remaining = spec.weight
-    table = _tail_counts(p, s, r, spec.weight)
+    table = spec._tails
     col_counts = table[1]  # one column: count_matrices_of_weight(s, p, u)
     with rng.bit_generator.lock:
         for j in range(r):

@@ -41,7 +41,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, require_int
-from .field import PrimeField
 from .hrs import CodeParams, _check_received, _interpolate
 from .nrt import NrtMatrix
 from .poly import Poly, _divmod, _trim
@@ -92,7 +91,7 @@ def _unscaled(params: CodeParams, entries: np.ndarray) -> np.ndarray:
     return entries * params.inverse_multipliers() % params.p
 
 
-def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
+def _partial_euclid(p: int, g: np.ndarray, h: np.ndarray, stop: int):
     """Extended Euclid on (g, h), deg h < deg g, halted at the first
     remainder r_j of degree < stop: returns (r_j, t_j) with
     r_j = t_j * h (mod g), as trimmed coefficient arrays, low degree first.
@@ -107,7 +106,7 @@ def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
     w_{i+1} = w_{i-1} - q_i * w_i: one division updates both.  w_i is passed
     as it is; _divmod inverts its leading coefficient.
     """
-    p, m = field.p, len(g) - stop
+    m = len(g) - stop
     w0 = np.concatenate([np.zeros(m, dtype=g.dtype), g])
     w1 = np.concatenate([np.eye(1, m, dtype=g.dtype)[0], _trim(h)])
     while len(w1) - m > stop:
@@ -118,19 +117,19 @@ def _partial_euclid(field: PrimeField, g: np.ndarray, h: np.ndarray, stop: int):
 
 def _solve(params: CodeParams, h: np.ndarray, e: int):
     """Solve the key equation for interpolant h and bound e: the partial Euclid,
-    two degree tests, one N0/E0 division.  A FailureReason, or (quot, E0, N0)."""
-    field, p, t = params.field, params.p, params.t
+    two degree tests, one r_j/t_j division, which inverts t_j's lead once.
+    A FailureReason, or (quot, t_j, r_j): N0 and E0 up to the scale that
+    makes E0 monic, which only decode applies."""
+    p, t = params.p, params.t
     g = params._interpolation_tables()[0]
-    rem, cof = _partial_euclid(field, g, h, e + t)
-    scale = field.inv(int(cof[-1]))
-    n0, e0 = rem * scale % p, cof * scale % p
-    # Both are trimmed, so deg = len - 1; N0 = 0 passes the second test.
-    if len(e0) - 1 > e or len(n0) - len(e0) > t - 1:
+    rem, cof = _partial_euclid(p, g, h, e + t)
+    # Both are trimmed, so deg = len - 1; r_j = 0 passes the second test.
+    if len(cof) - 1 > e or len(rem) - len(cof) > t - 1:
         return FailureReason.NO_SOLUTION
-    quot, remainder = _divmod(n0, e0, p)
+    quot, remainder = _divmod(rem, cof, p)
     if remainder.any():
         return FailureReason.NON_DIVISIBLE
-    return quot, e0, n0
+    return quot, cof, rem
 
 
 def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
@@ -152,11 +151,12 @@ def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
     solved = _solve(params, _interpolate(params, _unscaled(params, y.entries)), e)
     if isinstance(solved, FailureReason):
         return DecodeFailure(solved)
-    quot, e0, n0 = solved
-    field, pad = params.field, [0] * (e + 1 - len(e0))
+    quot, cof, rem = solved
+    field, p, pad = params.field, params.p, [0] * (e + 1 - len(cof))
+    scale = field.inv(int(cof[-1]))  # makes E0 monic
     return DecodeSuccess(
         message=Poly(field, quot.tolist()),
-        error_weight=len(e0) - 1,
-        locator=Poly(field, pad + e0.tolist()),
-        evaluator=Poly(field, pad + n0.tolist()),
+        error_weight=len(cof) - 1,
+        locator=Poly(field, pad + (cof * scale % p).tolist()),
+        evaluator=Poly(field, pad + (rem * scale % p).tolist()),
     )

@@ -33,9 +33,10 @@ multipliers and their inverses keep the field's dtype: they feed elementwise
 arithmetic.
 
 The derivative table, G and the basis depend on (p, s, alphas) alone, so
-codes that differ only in t or the multipliers share them: a code with
-(rs)**2 <= _SHARED_AREA takes its tables from the module-level store
-_shared_tables, which keeps the _SHARED_CODES most recently used codes.
+codes that differ only in t or the multipliers share them: when it is built,
+a code with (rs)**2 <= _SHARED_AREA takes its entry in the module-level store
+_shared_tables, which keeps the _SHARED_CODES most recently used codes; a
+larger code keeps its own.  The inverse multipliers are built with the code.
 """
 
 from functools import lru_cache
@@ -74,8 +75,8 @@ _SHARED_CODES = 8
 
 @lru_cache(maxsize=_SHARED_CODES)
 def _shared_tables(p: int, s: int, alphas: tuple) -> dict:
-    """The store entry of the code (p, s, alphas), filled by CodeParams on
-    first use of each table."""
+    """The store entry of the code (p, s, alphas), taken by CodeParams when
+    it is built and filled on first use of each table."""
     return {}
 
 
@@ -115,8 +116,12 @@ class CodeParams:
         self.multipliers = v
         self.unit_multipliers = bool(np.all(v == 1))
         self._alpha_col = np.array(alphas, dtype=field.dtype).reshape(r, 1)
-        self._tables = None
-        self._vinv = None
+        small = (r * s) ** 2 <= _SHARED_AREA
+        self._tables = _shared_tables(field.p, s, alphas) if small else {}
+        self._vinv = v  # unit multipliers are their own inverses
+        if not self.unit_multipliers:
+            self._vinv = np.array([[field.inv(int(x)) for x in row] for row in v], dtype=field.dtype)
+            self._vinv.flags.writeable = False
 
     @property
     def p(self) -> int:
@@ -141,14 +146,6 @@ class CodeParams:
 
     # -- cached tables --------------------------------------------------------
 
-    def _shared(self) -> dict:
-        """The tables of (p, s, alphas), looked up on first use: the shared
-        store's entry, or this code's own for (rs)**2 > _SHARED_AREA."""
-        if self._tables is None:
-            small = (self.r * self.s) ** 2 <= _SHARED_AREA
-            self._tables = _shared_tables(self.p, self.s, self.alphas) if small else {}
-        return self._tables
-
     def derivative_table(self) -> np.ndarray:
         """Array of shape (s, r, rs) with entry (i, j, k) the order-i
         hyperderivative of X**k at alpha_j: C(k, i) * alpha_j**(k-i), and 0
@@ -158,7 +155,7 @@ class CodeParams:
         the Hermite tables the first rs - s + 1, and the dense key-equation
         system of tests/reference.py, for error bound e, the first e + t.
         """
-        tab = self._shared().get("deriv")
+        tab = self._tables.get("deriv")
         if tab is None:
             s, r, p = self.s, self.r, self.p
             n = r * s
@@ -179,7 +176,7 @@ class CodeParams:
                 tab[i, :, i:] = tab[0, :, : n - i] * binom[i:] % p
             tab = tab.astype(np.int64, copy=False)
             tab.flags.writeable = False
-            self._shared()["deriv"] = tab
+            self._tables["deriv"] = tab
         return tab
 
     def _interpolation_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +190,7 @@ class CodeParams:
         No term of the basis sum reaches degree rs, so none is reduced mod G,
         and a sum of s terms, each below p, fits int64 until the one reduction.
         """
-        tables = self._shared().get("interp")
+        tables = self._tables.get("interp")
         if tables is None:
             p, r, s = self.p, self.r, self.s
             n = r * s
@@ -230,18 +227,11 @@ class CodeParams:
             basis = basis.astype(np.int64, copy=False)
             g.flags.writeable = False
             basis.flags.writeable = False
-            tables = self._shared()["interp"] = (g, basis)
+            tables = self._tables["interp"] = (g, basis)
         return tables
 
     def inverse_multipliers(self) -> np.ndarray:
-        """Entrywise inverses of the multiplier matrix."""
-        if self._vinv is None:
-            inv = np.array(
-                [[self.field.inv(int(v)) for v in row] for row in self.multipliers],
-                dtype=self.field.dtype,
-            )
-            inv.flags.writeable = False
-            self._vinv = inv
+        """Entrywise inverses of the multiplier matrix, built with the code."""
         return self._vinv
 
 

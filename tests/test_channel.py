@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import random
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -73,21 +75,40 @@ class TestCounting:
     def test_tail_table_matches_convolution(self, p):
         for s, r in itertools.product(range(1, 5), (1, 2, 3, 5, 8, 16)):
             for w in sorted({0, 1, s, r * s // 2, r * s}):
-                table = _tail_counts.__wrapped__(p, s, r, w)
+                table = _tail_counts(p, s, r, w)
                 assert table == tail_counts(p, s, r, w)
                 # sample_error reads the column counts from row 1.
                 top = min(w, s)
                 counts = [count_matrices_of_weight(s, p, u) for u in range(top + 1)]
                 assert table[1][: top + 1] == counts
 
-    def test_tail_tables_of_a_sweep_stay_cached(self):
-        # Three codes at every weight, asked in a cycle twice: each table
-        # is built once.
-        keys = [(101, 3, r, w) for r in (7, 10, 16) for w in range(12)]
-        _tail_counts.cache_clear()
-        for key in keys + keys:
-            _tail_counts(*key)
-        assert _tail_counts.cache_info().misses == len(keys)
+    def test_each_spec_builds_its_table_once(self, monkeypatch, golden_params):
+        # One build per ChannelSpec however many draws it serves, and one
+        # per run_trials call.
+        builds, build = [], channel._tail_counts
+        monkeypatch.setattr(channel, "_tail_counts", lambda *key: builds.append(key) or build(*key))
+        spec = ChannelSpec(p=101, s=3, r=10, weight=7, seed=2)
+        for seed in range(5):
+            sample_error(spec, _stream(seed, 0))
+        assert builds == [(101, 3, 10, 7)]
+        builds.clear()
+        for trials in (0, 3, 2 * channel._BLOCK + 1):
+            run_trials(golden_params, 2, trials, seed=4)
+        assert builds == [(7, 2, 4, 2)] * 3
+
+    def test_tables_go_with_their_specs(self):
+        # Each table of this shape takes over 1 MiB; once its spec is
+        # gone, nothing of it stays.
+        sample_error(ChannelSpec(p=7, s=2, r=2, weight=1))  # imports and streams
+        tracemalloc.start()
+        try:
+            for w in (80, 81, 82):
+                sample_error(ChannelSpec(p=2**61 - 1, s=2, r=64, weight=w, seed=w))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -324,7 +345,7 @@ class TestTailTableCap:
         "p, s, r, w", [(2**61 - 1, 1, 64, 32), (3, 8, 16, 100), (101, 4, 30, 60)]
     )
     def test_estimate_bounds_the_table(self, monkeypatch, p, s, r, w):
-        table = _tail_counts.__wrapped__(p, s, r, w)
+        table = _tail_counts(p, s, r, w)
         size = sys.getsizeof(table) + sum(
             sys.getsizeof(row) + sum(sys.getsizeof(x) for x in row if x > 256) for row in table
         )

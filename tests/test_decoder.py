@@ -360,7 +360,8 @@ class TestErrorWeightIsLocatorDegree:
                         assert out.reason != FailureReason.DISTANCE_EXCEEDED, case
                         continue
                     h = _interpolate(params, _unscaled(params, y.entries))
-                    e0 = Poly(field, _solve(params, h, e)[1].tolist())
+                    cof = _solve(params, h, e)[1]  # E0 up to a scale
+                    e0 = Poly(field, (cof * field.inv(int(cof[-1])) % p).tolist())
                     assert e0.degree == out.error_weight == scalar_distance(params, out.message, y), case
                     assert out.locator == mul(monomial(field, e - e0.degree), e0), case
                     seen.add(out.error_weight == e)

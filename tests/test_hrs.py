@@ -106,6 +106,26 @@ class TestCodeParams:
         inv = scaled.inverse_multipliers()
         assert (scaled.multipliers * inv % 7 == 1).all()
 
+    @pytest.mark.parametrize("p", [7, 2**61 - 1])
+    def test_inverse_multipliers_built_once(self, monkeypatch, p):
+        # One frozen array, built with the code, equal to the entrywise
+        # inverses; a unit code inverts nothing.
+        calls = []
+        inv = PrimeField.inv
+        monkeypatch.setattr(PrimeField, "inv", lambda field, a: calls.append(a) or inv(field, a))
+        v = [[1, 2, 3], [p - 1, 5, 1]]
+        scaled = CodeParams(p, 3, 2, 2, [0, 1, 2], v)
+        assert len(calls) == 6
+        first = scaled.inverse_multipliers()
+        assert scaled.inverse_multipliers() is first and not first.flags.writeable
+        assert first.dtype == scaled.field.dtype
+        assert first.tolist() == [[pow(x, -1, p) for x in row] for row in v]
+        calls.clear()
+        unit = CodeParams(p, 3, 2, 2, [0, 1, 2])
+        assert unit.inverse_multipliers() is unit.inverse_multipliers()
+        assert unit.inverse_multipliers().tolist() == [[1] * 3] * 2
+        assert not unit.inverse_multipliers().flags.writeable and not calls
+
     def test_tables(self):
         # Row 0 of the derivative table is the powers alpha_j**k.
         params = CodeParams(7, 3, 2, 4, [1, 3, 5])
@@ -235,6 +255,21 @@ class TestSharedTables:
         assert CodeParams(101, 3, 2, 3, [0, 1, 2]).derivative_table() is first
         assert CodeParams(101, 3, 2, 3, [0, 1, 3]).derivative_table() is not second
         assert empty_table_store.cache_info().currsize == hrs._SHARED_CODES
+
+    def test_codes_take_their_entry_when_built(self, empty_table_store):
+        # A code with (rs)**2 <= 64**2 looks the store up once, when it is
+        # built; a larger code never does, and no table call does.
+        def lookups():
+            info = empty_table_store.cache_info()
+            return info.hits + info.misses
+
+        small = [CodeParams(101, 64, 1, t, range(64)) for t in (3, 9)]
+        assert lookups() == 2
+        large = CodeParams(101, 65, 1, 3, range(65))
+        assert lookups() == 2
+        for code in (*small, large, *small, large):
+            self.tables(code)
+        assert lookups() == 2
 
     def test_large_codes_keep_their_own_tables(self, empty_table_store):
         # (rs)**2 = 64**2 is shared, 65**2 is not.

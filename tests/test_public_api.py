@@ -82,6 +82,68 @@ def test_decode_and_trial_api_pinned():
     }
 
 
+def test_channel_spec_fields_pinned():
+    # The field and the tail-count table are derived from the other fields:
+    # they take no argument and stay out of equality, hashing and the repr.
+    fields = [(f.name, f.init, f.compare, f.repr) for f in dataclasses.fields(hrscodes.ChannelSpec)]
+    assert fields == [
+        ("p", True, True, True),
+        ("s", True, True, True),
+        ("r", True, True, True),
+        ("weight", True, True, True),
+        ("seed", True, True, True),
+        ("field", False, False, False),
+        ("_tails", False, False, False),
+    ]
+
+
+# Every process-wide cache in src/, each kept for a measured cost (best of
+# timeit, 2 vCPUs, Python 3.11, numpy 2.4):
+# - cli._build_parser: building the parser takes 1.3-1.4 ms, a parse 0.09 ms;
+# - hrs._shared_tables: a (101, 16, 3) code builds its tables in 0.9-1.0 ms,
+#   against 2.4-3.2 ms for a whole simulate-sweep job on it.
+# A new one names its traffic here.
+MODULE_CACHES = ["cli._build_parser", "hrs._shared_tables"]
+
+
+def module_caches():
+    """module.function for each module-level function in src/hrscodes that
+    functools.lru_cache or functools.cache decorates, found by AST; any
+    other use of either, say one that wraps a function by a call, as
+    module:line."""
+    names, found = ("lru_cache", "cache"), []
+    for path in sorted((ROOT / "src" / "hrscodes").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+            if alias.name in names
+        }
+        owners = {
+            id(getattr(dec, "func", dec)): node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            for dec in node.decorator_list
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "functools"
+                and node.attr in names
+                or isinstance(node, ast.Name)
+                and node.id in aliases
+            ):
+                owner = owners.get(id(node))
+                found.append(f"{path.stem}.{owner}" if owner else f"{path.stem}:{node.lineno}")
+    return sorted(found)
+
+
+def test_module_caches_pinned():
+    assert module_caches() == MODULE_CACHES
+
+
 # Poly and NrtMatrix are value types: arithmetic lives in the array kernel,
 # and what only the tests need lives in tests/reference.py.
 POLY_MEMBERS = [
