@@ -18,10 +18,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .decoder import FailureReason, _solve, _unscaled, decoding_radius
+from .decoder import FailureReason, _solve, decoding_radius
 from .errors import ParameterError, require_int
 from .field import PrimeField
-from .hrs import CodeParams, _encode, _interpolate
+from .hrs import CodeParams, _encode, _interpolate, _unscaled
 from .nrt import NrtMatrix
 from .poly import _trim
 

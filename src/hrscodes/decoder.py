@@ -6,7 +6,7 @@ together by one linear constraint per matrix position:
 
     d^(l-1)N(alpha_i) = sum_{j=1..l} y_{j,i} * d^(l-j)E(alpha_i)
 
-(d^(k) is the order-k hyperderivative, y with the multipliers divided out).
+(d^(k) is the order-k hyperderivative, y unscaled by hrs._unscaled).
 By the Leibniz rule these rows say N = E*H (mod G), where H is the Hermite
 interpolant of y (deg H < rs) and G = prod_i (X - alpha_i)**s.  decode
 solves that key equation by a partial extended Euclid on (G, H) in
@@ -27,11 +27,11 @@ decode returns deg E0 as the error weight, the NRT distance from y to the
 codeword of f = N0/E0, without re-encoding f; it never returns a wrong
 message.  At most: N0 = E0*H (mod G) gives E0*(H - f) = 0 (mod G), so with
 m_j the multiplicity of alpha_j in E0, H - f vanishes to order >= s - m_j
-at alpha_j: the top s - m_j entries of column j of y - enc(f), multipliers
-divided out, are 0, and the distance is at most sum m_j <= deg E0 <= e.  At
-least: the error locator L = prod_j (X - alpha_j)**w_j of y - enc(f), w_j
-its column weights, has degree d <= e and (L*f, L) solves the key equation,
-so E0 divides L and deg E0 <= d.  So DISTANCE_EXCEEDED is never returned,
+at alpha_j: the top s - m_j entries of column j of y - enc(f), unscaled,
+are 0, and the distance is at most sum m_j <= deg E0 <= e.  At least: the
+error locator L = prod_j (X - alpha_j)**w_j of y - enc(f), w_j its column
+weights, has degree d <= e and (L*f, L) solves the key equation, so E0
+divides L and deg E0 <= d.  So DISTANCE_EXCEEDED is never returned,
 and fail_distance in a trial report always reads 0; both keep the CSV layout.
 """
 
@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, require_int
-from .hrs import CodeParams, _check_received, _interpolate
+from .hrs import CodeParams, _check_received, _interpolate, _unscaled
 from .nrt import NrtMatrix
 from .poly import Poly, _divmod, _trim
 
@@ -82,13 +82,6 @@ def _check_bound(params: CodeParams, e: int) -> int:
     if not 0 <= e <= radius:
         raise ParameterError(f"error bound {e} outside [0, {radius}]")
     return e
-
-
-def _unscaled(params: CodeParams, entries: np.ndarray) -> np.ndarray:
-    """Received s x r entries, or a stack, with the multipliers divided out."""
-    if params.unit_multipliers:
-        return entries
-    return entries * params.inverse_multipliers() % params.p
 
 
 def _partial_euclid(p: int, g: np.ndarray, h: np.ndarray, stop: int):
@@ -133,9 +126,9 @@ def _solve(params: CodeParams, h: np.ndarray, e: int):
 
 
 def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
-    """Run the full pipeline on arrays: check the input, unscale,
-    interpolate (hrs._interpolate), solve the key equation (_solve).  Poly
-    values are built only for the fields of a DecodeSuccess.
+    """Run the full pipeline on arrays: check the input, unscale
+    (hrs._unscaled), interpolate (hrs._interpolate), solve the key equation
+    (_solve).  Poly values are built only for the fields of a DecodeSuccess.
 
     Returns DecodeSuccess or DecodeFailure; received words beyond the error
     bound are an expected condition, never an exception.  Whenever y is

@@ -7,12 +7,13 @@ entry (i, j) = v_{i,j} * (order-(i-1) hyperderivative of f)(alpha_j).
 The entries C(k, i) * alpha_j**(k-i) live in one cached table
 (CodeParams.derivative_table), which feeds both the encoder and the Hermite
 tables.  Besides the encoder this module provides Hermite interpolation
-(the inverse of the all-ones encoder on full-length messages) and the
+(the inverse of the unscaled encoder on full-length messages) and the
 exhaustive minimum-distance scan behind the CLI's mindist; its budget may
 not pass 2**63 - 1, since messages are numbered in int64.  The generator is
 the first t columns of the derivative table: the encoder is one exact GF(p)
 matrix product with them, poly._dot, scaled entrywise by the multipliers
 afterwards, and the scan's batched re-encoding is the same product unscaled.
+_unscaled divides the multipliers out again: only this module touches them.
 
 Hermite interpolation is one product with a cached basis: entry (i, j) of
 the basis is the polynomial of degree < rs whose only nonzero
@@ -114,12 +115,11 @@ class CodeParams:
         self.t = t
         self.alphas = alphas
         self.multipliers = v
-        self.unit_multipliers = bool(np.all(v == 1))
         self._alpha_col = np.array(alphas, dtype=field.dtype).reshape(r, 1)
         small = (r * s) ** 2 <= _SHARED_AREA
         self._tables = _shared_tables(field.p, s, alphas) if small else {}
         self._vinv = v  # unit multipliers are their own inverses
-        if not self.unit_multipliers:
+        if not np.all(v == 1):
             self._vinv = np.array([[field.inv(int(x)) for x in row] for row in v], dtype=field.dtype)
             self._vinv.flags.writeable = False
 
@@ -249,15 +249,19 @@ def _encode(params: CodeParams, coeffs) -> np.ndarray:
     """The s x r codeword entries, in the field's dtype, of the message with
     coefficients `coeffs` (k <= t of them, in [0, p), low degree first; a
     stack gives a stack): one product with the first k columns of the
-    derivative table, then the multipliers entrywise."""
+    derivative table, then the multipliers entrywise, which _unscaled undoes."""
     s, r = params.s, params.r
     coeffs = np.asarray(coeffs, dtype=np.int64)
     *lead, k = coeffs.shape
     gen = params.derivative_table()[:, :, :k].reshape(s * r, k)
     entries = _dot(coeffs, gen.T, params.p).reshape(*lead, s, r)
-    if not params.unit_multipliers:
-        entries = entries * params.multipliers % params.p
-    return entries
+    return entries * params.multipliers % params.p
+
+
+def _unscaled(params: CodeParams, entries: np.ndarray) -> np.ndarray:
+    """Received s x r entries, or a stack, with the multipliers divided out:
+    the raw derivative values that _interpolate reads."""
+    return entries * params.inverse_multipliers() % params.p
 
 
 def encode(params: CodeParams, f: Poly) -> NrtMatrix:

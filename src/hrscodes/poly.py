@@ -98,12 +98,10 @@ def _trim(a: np.ndarray) -> np.ndarray:
 
 
 def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise products of two stacks of coefficient rows over GF(p): the
-    shorter row, reversed, times the band whose row k is the zero-padded
-    longer row from offset k, a strided int64 view that stays in one limb
-    as _dot's right operand on the int64 path."""
-    if a.shape[1] > b.shape[1]:
-        a, b = b, a
+    """Row-wise products of two stacks of coefficient rows over GF(p), of
+    any lengths: each row of a, reversed, times the band whose row k is the
+    zero-padded row of b from offset k, a strided int64 view that stays in
+    one limb as _dot's right operand on the int64 path."""
     rows, la, lb = a.shape[0], a.shape[1], b.shape[1]
     padded = np.zeros((rows, lb + 2 * la - 2), dtype=np.int64)
     padded[:, la - 1 : la - 1 + lb] = b

@@ -38,7 +38,7 @@ from hrscodes.channel import (
     count_matrices_of_weight,
     sample_error,
 )
-from hrscodes.decoder import DecodeSuccess, FailureReason, _check_bound, _unscaled, decode
+from hrscodes.decoder import DecodeSuccess, FailureReason, _check_bound, decode
 from hrscodes.hrs import (
     _BATCH,
     DEFAULT_BUDGET,
@@ -47,6 +47,7 @@ from hrscodes.hrs import (
     _check_received,
     _encode,
     _message_batch,
+    _unscaled,
     encode,
     hermite_interpolate,
 )

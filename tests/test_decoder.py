@@ -19,8 +19,8 @@ from hrscodes import (
     nrt_distance,
     sample_error,
 )
-from hrscodes.decoder import _solve, _unscaled
-from hrscodes.hrs import _interpolate
+from hrscodes.decoder import _solve
+from hrscodes.hrs import _interpolate, _unscaled
 from conftest import (
     GOLDEN_LOCATOR,
     GOLDEN_M,

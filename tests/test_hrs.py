@@ -21,7 +21,7 @@ from hrscodes import (
     nrt_weight,
 )
 from hrscodes import hrs
-from hrscodes.decoder import _unscaled
+from hrscodes.hrs import _unscaled
 from conftest import (
     GOLDEN_CODEWORD,
     GOLDEN_MESSAGE,
@@ -94,7 +94,7 @@ class TestCodeParams:
 
     def test_basics(self):
         params = CodeParams(7, 4, 2, 4, [1, 2, 3, 4])
-        assert params.p == 7 and params.unit_multipliers
+        assert params.p == 7 and (params.multipliers == 1).all()
         assert params == CodeParams(PrimeField(7), 4, 2, 4, [8, 2, 3, 4])
         assert params != CodeParams(7, 4, 2, 3, [1, 2, 3, 4])
         numpy_ints = CodeParams(*np.array([7, 4, 2, 4]), [1, 2, 3, 4])
@@ -102,7 +102,7 @@ class TestCodeParams:
         v = [[2, 2, 2, 2], [3, 3, 3, 3]]
         scaled = CodeParams(7, 4, 2, 4, [1, 2, 3, 4], v)
         assert scaled == CodeParams(7, 4, 2, 4, np.arange(1, 5), np.array(v) + 7)
-        assert not scaled.unit_multipliers
+        assert not (scaled.multipliers == 1).all()
         inv = scaled.inverse_multipliers()
         assert (scaled.multipliers * inv % 7 == 1).all()
 

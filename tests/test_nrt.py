@@ -137,9 +137,12 @@ def test_matrix_arrays_skip_the_entry_loop(gf7, monkeypatch):
 
     monkeypatch.setattr(nrt, "require_int", refuse)
     for field in (gf7, PrimeField(2**61 - 1)):
-        for dtype in (np.int64, np.uint8, np.uint64, object):
+        for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64, object):
             m = NrtMatrix(field, np.array([[1, 9], [0, 3]], dtype=dtype))
             assert m.to_lists() == [[1, 9 % field.p], [0, 3]]
+        # A narrow signed dtype is cast before it is reduced: int8 % (2**61 - 1)
+        # overflows in numpy.
+        assert NrtMatrix(field, np.array([[-1]], np.int8)).to_lists() == [[field.p - 1]]
     with pytest.raises(AssertionError):
         NrtMatrix(gf7, [[1, np.int64(2)]])
 

@@ -144,6 +144,56 @@ def test_module_caches_pinned():
     assert module_caches() == MODULE_CACHES
 
 
+def unreferenced_definitions():
+    """module.qualname for each function, class and method defined in
+    src/hrscodes that is not a dunder, not in hrscodes.__all__, and not
+    named anywhere in src/ or bench/ outside its own definition, found by
+    AST.  A name counts as a Name, an attribute, an imported name, or a
+    string constant that is a dotted name (bench/tracing.py names the sites
+    it wraps that way); uses from tests/ do not count."""
+    defs, refs = [], {}
+    files = sorted((ROOT / "src" / "hrscodes").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    for path in files:
+        tree = ast.parse(path.read_text())
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if path.parent.name == "hrscodes":
+                        span = (child.lineno, child.end_lineno)
+                        defs.append((f"{path.stem}.{prefix}{child.name}", child.name, path, span))
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(tree, "")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [part for alias in node.names for part in alias.name.split(".")]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = re.split(r"[.:]", node.value) if re.fullmatch(r"[\w.:]+", node.value) else []
+            else:
+                continue
+            for name in names:
+                refs.setdefault(name, []).append((path, node.lineno))
+    return sorted(
+        qualname
+        for qualname, name, path, (lo, hi) in defs
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in hrscodes.__all__
+        and not any(where != path or not lo <= line <= hi for where, line in refs.get(name, ()))
+    )
+
+
+def test_no_definition_only_tests_use():
+    # Code that only the tests call belongs in tests/reference.py.
+    assert unreferenced_definitions() == []
+
+
 # Poly and NrtMatrix are value types: arithmetic lives in the array kernel,
 # and what only the tests need lives in tests/reference.py.
 POLY_MEMBERS = [
@@ -191,7 +241,6 @@ CODE_PARAMS_MEMBERS = [
     "r",
     "s",
     "t",
-    "unit_multipliers",
 ]
 
 
