@@ -8,7 +8,8 @@ column weight be drawn with its exact conditional probability, using
 arbitrary-precision integers throughout.
 
 Draws are defined by the word streams of any numpy bit generator, which
-numpy keeps stable across versions.
+numpy keeps stable across versions; run_trials reads them through _draw,
+the raw-entries draw that sample_error wraps in an NrtMatrix.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .decoder import FailureReason, _solve, decoding_radius
+from .decoder import FailureReason, _key_equation, decoding_radius
 from .errors import ParameterError, require_int
 from .field import PrimeField
 from .hrs import CodeParams, _encode, _interpolate, _unscaled
 from .nrt import NrtMatrix
-from .poly import _trim
+from .poly import _divmod
 
 CSV_HEADER = (
     "weight,trials,successes,fail_nosolution,fail_nondivisible,"
@@ -133,12 +134,14 @@ def _tail_counts(p: int, s: int, r: int, w: int):
 
 
 class _Words:
-    """A bit generator's own C word functions, the ones Generator calls:
-    next_uint32 keeps numpy's buffered half word in the generator's state."""
+    """A bit generator's own C word functions, the ones Generator calls,
+    and its lock: next_uint32 keeps numpy's buffered half word in the
+    generator's state, which a reseat of the state keeps valid."""
 
     def __init__(self, bit_generator):
         c = bit_generator.ctypes
         self.state, self.next_uint32, self.next_uint64 = c.state, c.next_uint32, c.next_uint64
+        self.lock = bit_generator.lock
 
     def uniform(self, n: int) -> int:
         """[0, n) by rejection on Generator.bytes: whole uint32 words (one
@@ -173,19 +176,25 @@ def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> N
     Generator.bytes and Generator.integers would read them, and leave it
     where those calls would: numpy keeps raw streams stable across versions,
     not Generator methods.  Any numpy bit generator is accepted; its lock is
-    held while the words are read, as Generator methods hold it.
+    held while the words are read, as Generator methods hold it.  This is
+    _draw, the entries run_trials draws, wrapped in an NrtMatrix.
     """
     if rng is None:
         rng = spec.rng()
     if not isinstance(rng, np.random.Generator):
         raise ParameterError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
-    words = _Words(rng.bit_generator)
+    return NrtMatrix(spec.field, _draw(spec, _Words(rng.bit_generator)))
+
+
+def _draw(spec: ChannelSpec, words: _Words) -> np.ndarray:
+    """The s x r entries of one sample_error draw, in the field's dtype,
+    read from words with its generator's lock held."""
     s, r, p = spec.s, spec.r, spec.p
     entries = np.zeros((s, r), dtype=spec.field.dtype)
     remaining = spec.weight
     table = spec._tails
     col_counts = table[1]  # one column: count_matrices_of_weight(s, p, u)
-    with rng.bit_generator.lock:
+    with words.lock:
         for j in range(r):
             tail = table[r - 1 - j]
             draw = words.uniform(table[r - j][remaining])
@@ -196,7 +205,7 @@ def sample_error(spec: ChannelSpec, rng: np.random.Generator | None = None) -> N
             if u > 0:
                 entries[s - u :, j] = [1 + words.below(p - 1, 1)[0], *words.below(p, u - 1)]
             remaining -= u
-    return NrtMatrix(spec.field, entries)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -228,10 +237,12 @@ def run_trials(params: CodeParams, weight: int, trials: int, seed: int) -> Trial
     Each trial gets its own counter-based stream keyed by (seed, index), so
     the report is reproducible trial by trial regardless of run order: one
     Philox, re-keyed per trial, draws the trial's message and then its
-    error.  Blocks of _BLOCK trials are encoded in one hrs._encode product,
-    and unscaled and interpolated in one hrs._interpolate product; then
-    decoder._solve runs per word.  So mean_decode_us is the mean _solve time
-    plus an even share of its block's unscale-and-interpolate time.
+    error (_draw, through one _Words per run).  Blocks of _BLOCK trials are
+    encoded in one hrs._encode product, and unscaled and interpolated in one
+    hrs._interpolate product; decoder._key_equation runs per word, and the
+    block's pairs (r_j, t_j) are divided in one stacked _divmod per shape.
+    So mean_decode_us is a mean per decode: the word's _key_equation time
+    plus even shares of its block's interpolation and of its shape's division.
     Miscorrections (a returned message other than the transmitted one, still
     within the radius of the received word) are tallied under "miscorrected";
     the CSV row derives it as trials minus the other columns.
@@ -246,27 +257,37 @@ def run_trials(params: CodeParams, weight: int, trials: int, seed: int) -> Trial
         FailureReason.DISTANCE_EXCEEDED.value: 0,
         MISCORRECTED: 0,
     }
-    elapsed = 0.0
-    radius = decoding_radius(params)
+    elapsed, p, radius = 0.0, params.p, decoding_radius(params)
     rng = _stream(spec.seed, 0)
-    fresh = rng.bit_generator.state
+    fresh, words = rng.bit_generator.state, _Words(rng.bit_generator)
     for first in range(0, trials, _BLOCK):
         sent, errors = [], []
         for index in range(first, min(first + _BLOCK, trials)):
             fresh["state"]["key"][1] = index
             rng.bit_generator.state = fresh
-            sent.append(rng.integers(0, params.p, size=params.t))
-            errors.append(sample_error(spec, rng).entries)
-        noisy = (_encode(params, np.array(sent)) + np.array(errors)) % params.p
+            sent.append(rng.integers(0, p, size=params.t))
+            errors.append(_draw(spec, words))
+        sent = np.array(sent)
+        noisy = (_encode(params, sent) + np.array(errors)) % p
         start = time.perf_counter()
-        words = _interpolate(params, _unscaled(params, noisy))
-        outcomes = [_solve(params, h, radius) for h in words]
+        shapes = {}
+        for index, h in enumerate(_interpolate(params, _unscaled(params, noisy))):
+            pair = _key_equation(params, h, radius)
+            if isinstance(pair, FailureReason):
+                counts[pair.value] += 1
+            else:
+                shapes.setdefault((len(pair[0]), len(pair[1])), []).append((index, *pair))
+        for index, rems, cofs in (zip(*group) for group in shapes.values()):
+            # Scaled by 1/lead(t_j): monic divisors, same quotients, remainders scaled.
+            rems, cofs = np.array(rems), np.array(cofs)
+            inv = np.array([pow(int(c), -1, p) for c in cofs[:, -1]], dtype=cofs.dtype)[:, None]
+            quot, rest = _divmod(rems * inv % p, cofs * inv % p, p)
+            message, k = sent[list(index)], quot.shape[1]
+            wrong = (quot != message[:, :k]).any(axis=1) | message[:, k:].any(axis=1)
+            non_divisible = rest.any(axis=1)
+            counts[FailureReason.NON_DIVISIBLE.value] += int(non_divisible.sum())
+            counts[MISCORRECTED] += int((wrong & ~non_divisible).sum())
         elapsed += time.perf_counter() - start
-        for coeffs, outcome in zip(sent, outcomes):
-            if isinstance(outcome, FailureReason):
-                counts[outcome.value] += 1
-            elif outcome[0].tolist() != _trim(coeffs).tolist():
-                counts[MISCORRECTED] += 1
     mean_us = elapsed / trials * 1e6 if trials else 0.0
     return TrialReport(
         weight=spec.weight,

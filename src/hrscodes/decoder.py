@@ -99,36 +99,33 @@ def _partial_euclid(p: int, g: np.ndarray, h: np.ndarray, stop: int):
     w_{i+1} = w_{i-1} - q_i * w_i: one division updates both.  w_i is passed
     as it is; _divmod inverts its leading coefficient.
     """
-    m = len(g) - stop
-    w0 = np.concatenate([np.zeros(m, dtype=g.dtype), g])
-    w1 = np.concatenate([np.eye(1, m, dtype=g.dtype)[0], _trim(h)])
+    m, h = len(g) - stop, _trim(h)
+    w0, w1 = np.zeros(m + len(g), dtype=g.dtype), np.zeros(m + len(h), dtype=g.dtype)
+    w0[m:], w1[0], w1[m:] = g, 1, h
     while len(w1) - m > stop:
         w = _divmod(w0, w1, p)[1]
         w0, w1 = w1, w[: m + len(_trim(w[m:]))]
     return w1[m:], _trim(w1[:m])
 
 
-def _solve(params: CodeParams, h: np.ndarray, e: int):
-    """Solve the key equation for interpolant h and bound e: the partial Euclid,
-    two degree tests, one r_j/t_j division, which inverts t_j's lead once.
-    A FailureReason, or (quot, t_j, r_j): N0 and E0 up to the scale that
-    makes E0 monic, which only decode applies."""
+def _key_equation(params: CodeParams, h: np.ndarray, e: int):
+    """The key equation for interpolant h and bound e: the partial Euclid
+    and the two degree tests.  NO_SOLUTION, or (r_j, t_j) as they come: N0
+    and E0 up to the scale that makes E0 monic, which the caller applies."""
     p, t = params.p, params.t
     g = params._interpolation_tables()[0]
     rem, cof = _partial_euclid(p, g, h, e + t)
     # Both are trimmed, so deg = len - 1; r_j = 0 passes the second test.
     if len(cof) - 1 > e or len(rem) - len(cof) > t - 1:
         return FailureReason.NO_SOLUTION
-    quot, remainder = _divmod(rem, cof, p)
-    if remainder.any():
-        return FailureReason.NON_DIVISIBLE
-    return quot, cof, rem
+    return rem, cof
 
 
 def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
     """Run the full pipeline on arrays: check the input, unscale
     (hrs._unscaled), interpolate (hrs._interpolate), solve the key equation
-    (_solve).  Poly values are built only for the fields of a DecodeSuccess.
+    (_key_equation), and divide r_j by t_j in one _divmod, which inverts t_j's
+    lead once.  Poly values are built only for the fields of a DecodeSuccess.
 
     Returns DecodeSuccess or DecodeFailure; received words beyond the error
     bound are an expected condition, never an exception.  Whenever y is
@@ -141,10 +138,13 @@ def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
     if e is None:
         e = decoding_radius(params)
     e = _check_bound(params, e)
-    solved = _solve(params, _interpolate(params, _unscaled(params, y.entries)), e)
+    solved = _key_equation(params, _interpolate(params, _unscaled(params, y.entries)), e)
     if isinstance(solved, FailureReason):
         return DecodeFailure(solved)
-    quot, cof, rem = solved
+    rem, cof = solved
+    quot, remainder = _divmod(rem, cof, params.p)
+    if remainder.any():
+        return DecodeFailure(FailureReason.NON_DIVISIBLE)
     field, p, pad = params.field, params.p, [0] * (e + 1 - len(cof))
     scale = field.inv(int(cof[-1]))  # makes E0 monic
     return DecodeSuccess(

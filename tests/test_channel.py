@@ -26,7 +26,7 @@ from hrscodes import (
     run_trials,
     sample_error,
 )
-from hrscodes import channel, hrs
+from hrscodes import channel, hrs, poly
 from hrscodes.channel import _stream, _table_fits, _tail_counts
 from reference import column_weight, count_error_matrices, generator_sample_error, tail_counts
 from reference import run_trials as trial_by_trial
@@ -400,12 +400,13 @@ class TestTrials:
             messages.extend(np.reshape(coeffs, (-1, params.t)).tolist())
             return hrs._encode(params, coeffs)
 
-        def record_error(spec, rng):
-            errors.append(sample_error(spec, rng))
-            return errors[-1]
+        def record_draw(spec, words, draw=channel._draw):
+            entries = draw(spec, words)
+            errors.append(NrtMatrix(spec.field, entries))
+            return entries
 
         monkeypatch.setattr(channel, "_encode", record_encode)
-        monkeypatch.setattr(channel, "sample_error", record_error)
+        monkeypatch.setattr(channel, "_draw", record_draw)
         run_trials(params, weight=3, trials=6, seed=seed)
         spec = ChannelSpec(p=p, s=2, r=4, weight=3, seed=seed)
         for index in range(6):
@@ -449,6 +450,63 @@ class TestTrials:
         run_trials(golden_params, weight=2, trials=trials, seed=1)
         blocks = -(-trials // B)
         assert calls == {"_encode": blocks, "_interpolate": blocks}
+
+    @staticmethod
+    def record_divisions(monkeypatch):
+        """Patch the block loop's _interpolate and _divmod: the list returned
+        gets one list per block, holding (dividend, divisor, remainder) of
+        each division call in it."""
+        blocks = []
+
+        def interpolate(*args):
+            blocks.append([])
+            return hrs._interpolate(*args)
+
+        def divmod_(a, b, p):
+            quot, rest = poly._divmod(a, b, p)
+            blocks[-1].append((a, b, rest))
+            return quot, rest
+
+        monkeypatch.setattr(channel, "_interpolate", interpolate)
+        monkeypatch.setattr(channel, "_divmod", divmod_)
+        return blocks
+
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    @pytest.mark.parametrize("weight", [2, 4])
+    def test_one_stacked_division_per_shape(self, monkeypatch, golden_params, weight, trials):
+        # Weight 2 is the radius, 4 lies beyond it: every trial that passes
+        # the degree tests is one row of a 2-D stack, and no block divides
+        # one (dividend, divisor) shape twice.
+        blocks = self.record_divisions(monkeypatch)
+        report = run_trials(golden_params, weight, trials, seed=weight + trials)
+        assert len(blocks) == -(-trials // B)
+        calls = [call for block in blocks for call in block]
+        assert all(a.ndim == b.ndim == 2 for a, b, _ in calls)
+        reached = trials - report.failures[FailureReason.NO_SOLUTION.value]
+        assert sum(len(a) for a, _, _ in calls) == reached
+        for block in blocks:
+            shapes = [(a.shape, b.shape) for a, b, _ in block]
+            assert len(shapes) == len(set(shapes))
+
+    def test_edge_shapes_in_stacks(self, monkeypatch):
+        # r_j = 0 (an empty dividend row: the zero message) on both codes,
+        # deg N0 < deg E0 (non-divisible, with an empty quotient) and blocks
+        # that mix shapes: the stacks count what decode counts one trial at
+        # a time.  Over GF(2) at t = 1 no trial is non-divisible.
+        blocks = self.record_divisions(monkeypatch)
+        rnd, non_divisible = random.Random("edges"), 0
+        for p, r, s, t in ((2, 2, 2, 1), (3, 3, 2, 2)):
+            params, first = CodeParams(p, r, s, t, list(range(r))), len(blocks)
+            for weight, trials in itertools.product(range(r * s + 1), TRIAL_COUNTS):
+                seed = rnd.getrandbits(64)
+                report = run_trials(params, weight, trials, seed)
+                assert report == trial_by_trial(params, weight, trials, seed), (p, weight, trials)
+                non_divisible += report.failures[FailureReason.NON_DIVISIBLE.value]
+            assert any(a.shape[1] == 0 for block in blocks[first:] for a, _, _ in block), p
+        calls = [call for block in blocks for call in block]
+        assert non_divisible
+        assert any(0 < a.shape[1] < b.shape[1] and rest.any() for a, b, rest in calls)
+        assert any(len(block) > 1 for block in blocks)
 
     def test_zero_trials(self, golden_params):
         report = run_trials(golden_params, weight=1, trials=0, seed=0)
