@@ -19,12 +19,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .decoder import FailureReason, _key_equation, decoding_radius
+from .decoder import FailureReason, _decode_block, decoding_radius
 from .errors import ParameterError, require_int
 from .field import PrimeField
-from .hrs import CodeParams, _encode, _interpolate, _unscaled
+from .hrs import CodeParams, _encode
 from .nrt import NrtMatrix
-from .poly import _divmod
 
 CSV_HEADER = (
     "weight,trials,successes,fail_nosolution,fail_nondivisible,"
@@ -38,7 +37,7 @@ MISCORRECTED = "miscorrected"
 # hrs.MAX_CODE_LENGTH allows.  Doubling r and weight makes it about 8x larger.
 _MAX_TABLE_BYTES = 160 << 20
 
-# Trials encoded, and unscaled and interpolated, in one product per block.
+# Trials encoded in one product, and decoded in one stage call, per block.
 _BLOCK = 64
 
 
@@ -136,12 +135,13 @@ def _tail_counts(p: int, s: int, r: int, w: int):
 class _Words:
     """A bit generator's own C word functions, the ones Generator calls,
     and its lock: next_uint32 keeps numpy's buffered half word in the
-    generator's state, which a reseat of the state keeps valid."""
+    generator's state, which a reseat of the state keeps valid.  It holds
+    the bit generator too, which owns the C state the functions read."""
 
     def __init__(self, bit_generator):
         c = bit_generator.ctypes
         self.state, self.next_uint32, self.next_uint64 = c.state, c.next_uint32, c.next_uint64
-        self.lock = bit_generator.lock
+        self.bit_generator, self.lock = bit_generator, bit_generator.lock
 
     def uniform(self, n: int) -> int:
         """[0, n) by rejection on Generator.bytes: whole uint32 words (one
@@ -238,14 +238,12 @@ def run_trials(params: CodeParams, weight: int, trials: int, seed: int) -> Trial
     the report is reproducible trial by trial regardless of run order: one
     Philox, re-keyed per trial, draws the trial's message and then its
     error (_draw, through one _Words per run).  Blocks of _BLOCK trials are
-    encoded in one hrs._encode product, and unscaled and interpolated in one
-    hrs._interpolate product; decoder._key_equation runs per word, and the
-    block's pairs (r_j, t_j) are divided in one stacked _divmod per shape.
-    So mean_decode_us is a mean per decode: the word's _key_equation time
-    plus even shares of its block's interpolation and of its shape's division.
-    Miscorrections (a returned message other than the transmitted one, still
-    within the radius of the received word) are tallied under "miscorrected";
-    the CSV row derives it as trials minus the other columns.
+    encoded in one hrs._encode product and decoded in one call of
+    decoder._decode_block, decode's stages; mean_decode_us is a mean per
+    decode, the block's stage time over its trials.  Miscorrections (a
+    returned message other than the transmitted one, still within the
+    radius of the received word) are tallied under "miscorrected"; the CSV
+    row derives it as trials minus the other columns.
     """
     trials = require_int(trials, "trials")
     if trials < 0:
@@ -270,24 +268,13 @@ def run_trials(params: CodeParams, weight: int, trials: int, seed: int) -> Trial
         sent = np.array(sent)
         noisy = (_encode(params, sent) + np.array(errors)) % p
         start = time.perf_counter()
-        shapes = {}
-        for index, h in enumerate(_interpolate(params, _unscaled(params, noisy))):
-            pair = _key_equation(params, h, radius)
-            if isinstance(pair, FailureReason):
-                counts[pair.value] += 1
-            else:
-                shapes.setdefault((len(pair[0]), len(pair[1])), []).append((index, *pair))
-        for index, rems, cofs in (zip(*group) for group in shapes.values()):
-            # Scaled by 1/lead(t_j): monic divisors, same quotients, remainders scaled.
-            rems, cofs = np.array(rems), np.array(cofs)
-            inv = np.array([pow(int(c), -1, p) for c in cofs[:, -1]], dtype=cofs.dtype)[:, None]
-            quot, rest = _divmod(rems * inv % p, cofs * inv % p, p)
-            message, k = sent[list(index)], quot.shape[1]
-            wrong = (quot != message[:, :k]).any(axis=1) | message[:, k:].any(axis=1)
-            non_divisible = rest.any(axis=1)
-            counts[FailureReason.NON_DIVISIBLE.value] += int(non_divisible.sum())
-            counts[MISCORRECTED] += int((wrong & ~non_divisible).sum())
+        decoded = _decode_block(params, noisy, radius)
         elapsed += time.perf_counter() - start
+        for message, outcome in zip(sent.tolist(), decoded):
+            if isinstance(outcome, FailureReason):
+                counts[outcome.value] += 1
+            elif outcome[0].tolist() + [0] * (params.t - len(outcome[0])) != message:
+                counts[MISCORRECTED] += 1
     mean_us = elapsed / trials * 1e6 if trials else 0.0
     return TrialReport(
         weight=spec.weight,

@@ -5,7 +5,8 @@ Inputs come from a JSON job file (matrices and coefficient lists are too
 awkward as flags); `--param k=v` overrides scalar keys.  Polynomial
 coefficients are listed low degree first everywhere.  Exit codes: 0 when a
 result was computed (a decode "fail" status is a result), 2 for invalid
-input, 3 when a brute-force budget is exceeded.
+input, 3 when an exhaustive job (mindist's codewords, simulate's trials)
+exceeds its budget.
 """
 
 import argparse
@@ -15,10 +16,11 @@ import sys
 
 from .channel import CSV_HEADER, ChannelSpec, run_trials, sample_error
 from .decoder import DecodeSuccess, decode
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, ParameterError, require_int
 from .hrs import (
     DEFAULT_BUDGET,
     CodeParams,
+    _check_budget,
     _check_received,
     brute_force_min_distance,
     encode,
@@ -38,7 +40,7 @@ job file keys:
   weight          target NRT error weight (corrupt, simulate)
   trials          trial count (simulate; default 100)
   seed            64-bit RNG seed (corrupt, simulate; default 0)
-  budget          enumeration cap (mindist; default 10**6)
+  budget          cap on codewords or trials (mindist, simulate; default 10**6)
 
 matrix JSON form: {"s": 2, "r": 4, "entries": [[...], [...]]} with row 1
 holding the order-0 derivative values; a bare list of rows is also accepted
@@ -145,7 +147,8 @@ def _cmd_interpolate(params: CodeParams, job: dict, out) -> int:
 
 
 def _cmd_simulate(params: CodeParams, job: dict, out) -> int:
-    weight, trials = _require(job, "weight"), job.get("trials", 100)
+    weight, trials = _require(job, "weight"), require_int(job.get("trials", 100), "trials")
+    _check_budget(job.get("budget", DEFAULT_BUDGET), trials, "trial count")
     report = run_trials(params, weight, trials, job.get("seed", 0))
     print(CSV_HEADER, file=out)
     print(report.csv_row(), file=out)

@@ -8,11 +8,12 @@ together by one linear constraint per matrix position:
 
 (d^(k) is the order-k hyperderivative, y unscaled by hrs._unscaled).
 By the Leibniz rule these rows say N = E*H (mod G), where H is the Hermite
-interpolant of y (deg H < rs) and G = prod_i (X - alpha_i)**s.  decode
-solves that key equation by a partial extended Euclid on (G, H) in
-O((rs)**2) field operations: it stops at the first remainder r_j of degree
-< e+t, and (N0, E0) = (r_j, t_j) scaled to make E0 monic, where t_j is the
-cofactor with r_j = t_j*H (mod G).  Since (e+t) + e <= rs, every pair
+interpolant of y (deg H < rs) and G = prod_i (X - alpha_i)**s.  The stage
+chain _decode_block, run by decode on one word and by channel.run_trials on
+a block, solves that key equation by a partial extended Euclid on (G, H) in
+O((rs)**2) field operations per word: it stops at the first remainder r_j of
+degree < e+t, and (N0, E0) = (r_j, t_j) scaled to make E0 monic, where t_j
+is the cofactor with r_j = t_j*H (mod G).  Since (e+t) + e <= rs, every pair
 (N, E) solving the constraints with deg N < e+t and deg E <= e is
 lambda*(N0, E0) for a polynomial lambda (von zur Gathen & Gerhard, Modern
 Computer Algebra, Lemma 5.15).  So:
@@ -121,11 +122,34 @@ def _key_equation(params: CodeParams, h: np.ndarray, e: int):
     return rem, cof
 
 
+def _decode_block(params: CodeParams, entries: np.ndarray, e: int) -> list:
+    """decode's stages on a stack of received s x r entries at bound e: one
+    unscale-and-_interpolate product, _key_equation per word, and one _divmod
+    per (len r_j, len t_j) group: a single row for a word alone in its group
+    (inverting t_j's lead once), else a stack scaled so each t_j is monic.
+    Per word it returns a FailureReason or (quotient, r_j, t_j)."""
+    p, shapes = params.p, {}
+    out = [_key_equation(params, h, e) for h in _interpolate(params, _unscaled(params, entries))]
+    for index, solved in enumerate(out):
+        if not isinstance(solved, FailureReason):
+            shapes.setdefault((len(solved[0]), len(solved[1])), []).append(index)
+    for index in shapes.values():
+        pairs = [out[i] for i in index]
+        if len(pairs) == 1:
+            divided = [_divmod(*pairs[0], p)]
+        else:
+            # Scaled by 1/lead(t_j): monic divisors, same quotients, remainders scaled.
+            rems, cofs = map(np.array, zip(*pairs))
+            inv = np.array([pow(int(c), -1, p) for c in cofs[:, -1]], dtype=cofs.dtype)[:, None]
+            divided = zip(*_divmod(rems * inv % p, cofs * inv % p, p))
+        for i, pair, (quot, rest) in zip(index, pairs, divided):
+            out[i] = FailureReason.NON_DIVISIBLE if rest.any() else (quot, *pair)
+    return out
+
+
 def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
-    """Run the full pipeline on arrays: check the input, unscale
-    (hrs._unscaled), interpolate (hrs._interpolate), solve the key equation
-    (_key_equation), and divide r_j by t_j in one _divmod, which inverts t_j's
-    lead once.  Poly values are built only for the fields of a DecodeSuccess.
+    """Check the input, then run _decode_block on a stack of one, which
+    divides r_j by t_j as one row; Poly values are built only for a success.
 
     Returns DecodeSuccess or DecodeFailure; received words beyond the error
     bound are an expected condition, never an exception.  Whenever y is
@@ -135,16 +159,11 @@ def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
     monic of degree exactly e, and the evaluator is locator * message.
     """
     _check_received(params, y)
-    if e is None:
-        e = decoding_radius(params)
-    e = _check_bound(params, e)
-    solved = _key_equation(params, _interpolate(params, _unscaled(params, y.entries)), e)
+    e = _check_bound(params, decoding_radius(params) if e is None else e)
+    solved = _decode_block(params, y.entries[np.newaxis], e)[0]
     if isinstance(solved, FailureReason):
         return DecodeFailure(solved)
-    rem, cof = solved
-    quot, remainder = _divmod(rem, cof, params.p)
-    if remainder.any():
-        return DecodeFailure(FailureReason.NON_DIVISIBLE)
+    quot, rem, cof = solved
     field, p, pad = params.field, params.p, [0] * (e + 1 - len(cof))
     scale = field.inv(int(cof[-1]))  # makes E0 monic
     return DecodeSuccess(

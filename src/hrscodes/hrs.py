@@ -301,17 +301,15 @@ def hermite_interpolate(params: CodeParams, y: NrtMatrix) -> Poly:
     return Poly(params.field, _interpolate(params, y.entries).tolist())
 
 
-def _check_budget(params: CodeParams, budget: int) -> int:
+def _check_budget(budget: int, count: int, what: str) -> int:
+    """count, the size of an exhaustive job named by what, if budget allows it."""
     budget = require_int(budget, "budget")
     if budget < 0:
         raise ParameterError(f"budget must be non-negative, got {budget}")
     if budget > _MAX_BUDGET:
         raise ParameterError(f"budget {budget} exceeds the int64 limit 2**63 - 1")
-    count = params.p**params.t
     if count > budget:
-        raise BudgetExceededError(
-            f"enumerating {count} codewords exceeds the budget of {budget}"
-        )
+        raise BudgetExceededError(f"{what} {count} exceeds the budget of {budget}")
     return count
 
 
@@ -333,7 +331,7 @@ def brute_force_min_distance(params: CodeParams, budget: int = DEFAULT_BUDGET) -
     The codewords are enumerated without the multipliers: a nonzero entrywise
     scale keeps the zero pattern of every column, and so its NRT weight.
     """
-    count = _check_budget(params, budget)
+    count = _check_budget(budget, params.p**params.t, "codeword count")
     s, r, t = params.s, params.r, params.t
     gen_t = params.derivative_table()[:, :, :t].reshape(s * r, t).T
     best = s * r

@@ -16,10 +16,10 @@ and _mul (each row times a band matrix) go through it.  It multiplies
 int64 limbs for every p, so no product of a matrix runs on Python ints;
 only its output is combined on them above 2**31 - 1.  A product by
 X - alpha is a shift and a scale, _shift_scale.  _divmod is the one
-division: a stack of rows by monic divisors (the Hermite tables divide by
-(X - alpha_j)**s, run_trials a block's N0 by its E0 made monic), or one
-row by a divisor with any unit leading coefficient (the decoder's Euclid
-and decode's final division); it reduces only when int64 could overflow.
+division: a stack of rows by monic divisors ((X - alpha_j)**s in the
+Hermite tables, a group's E0 made monic in decoder._decode_block), or one
+row by a divisor with any unit lead (the Euclid, and E0 for a word alone in
+its group); it reduces only when int64 could overflow.
 """
 
 import numpy as np

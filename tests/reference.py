@@ -487,7 +487,7 @@ def nearest_codeword_multiplicity(
     Ties go to the lexicographically smallest coefficient tuple.
     """
     _check_received(params, y)
-    count = _check_budget(params, budget)
+    count = _check_budget(budget, params.p**params.t, "codeword count")
     enc_t = encoding_matrix(params).T
     target = y.entries.reshape(1, params.s * params.r)
     best_dist = None

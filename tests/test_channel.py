@@ -1,11 +1,15 @@
 import gc
 import hashlib
 import itertools
+import os
 import random
+import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +25,13 @@ from hrscodes import (
     PrimeField,
     TrialReport,
     count_matrices_of_weight,
+    decode,
     decoding_radius,
     nrt_weight,
     run_trials,
     sample_error,
 )
-from hrscodes import channel, hrs, poly
+from hrscodes import channel, decoder, hrs, poly
 from hrscodes.channel import _stream, _table_fits, _tail_counts
 from reference import column_weight, count_error_matrices, generator_sample_error, tail_counts
 from reference import run_trials as trial_by_trial
@@ -267,6 +272,28 @@ def test_draws_pinned():
     assert draw_digest() == "12f89d1e2dfdb46f254dd72e42af1c9200c30990666ab50da1fe9de4ca775038"
 
 
+def test_words_keep_their_bit_generator():
+    # _Words built from a Generator that is dropped at once, its memory then
+    # reused by fresh bit generators, still reads the stream it was given.
+    # Run in a child process, so that a crash fails this test alone.
+    script = """if True:
+        import numpy as np
+        from hrscodes.channel import ChannelSpec, _Words, _draw, _stream, sample_error
+        spec = ChannelSpec(p=101, s=3, r=16, weight=12)
+        for i in range(50):
+            words = _Words(_stream(9, i).bit_generator)
+            fresh = [np.random.Philox(k) for k in range(50)]
+            assert (_draw(spec, words) == sample_error(spec, _stream(9, i)).entries).all(), i
+    """
+    src = str(Path(channel.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+
+
 class TestAgainstGeneratorSampler:
     """sample_error reads raw bit-generator words; the oracle makes the same
     draws through numpy Generator calls.  Both must give equal matrices and
@@ -445,17 +472,18 @@ class TestTrials:
 
             return call
 
-        for name in calls:
-            monkeypatch.setattr(channel, name, counted(name))
+        monkeypatch.setattr(channel, "_encode", counted("_encode"))
+        monkeypatch.setattr(decoder, "_interpolate", counted("_interpolate"))
         run_trials(golden_params, weight=2, trials=trials, seed=1)
         blocks = -(-trials // B)
         assert calls == {"_encode": blocks, "_interpolate": blocks}
 
     @staticmethod
     def record_divisions(monkeypatch):
-        """Patch the block loop's _interpolate and _divmod: the list returned
-        gets one list per block, holding (dividend, divisor, remainder) of
-        each division call in it."""
+        """Patch the decode stages' _interpolate and _divmod: the list
+        returned gets one list per block, holding (dividend, divisor,
+        remainder) of each division _decode_block makes in it; the Euclid's
+        own divisions, which share decoder._divmod, are not recorded."""
         blocks = []
 
         def interpolate(*args):
@@ -464,28 +492,30 @@ class TestTrials:
 
         def divmod_(a, b, p):
             quot, rest = poly._divmod(a, b, p)
-            blocks[-1].append((a, b, rest))
+            if sys._getframe(1).f_code.co_name == "_decode_block":
+                blocks[-1].append((a, b, rest))
             return quot, rest
 
-        monkeypatch.setattr(channel, "_interpolate", interpolate)
-        monkeypatch.setattr(channel, "_divmod", divmod_)
+        monkeypatch.setattr(decoder, "_interpolate", interpolate)
+        monkeypatch.setattr(decoder, "_divmod", divmod_)
         return blocks
 
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     @pytest.mark.parametrize("weight", [2, 4])
     def test_one_stacked_division_per_shape(self, monkeypatch, golden_params, weight, trials):
         # Weight 2 is the radius, 4 lies beyond it: every trial that passes
-        # the degree tests is one row of a 2-D stack, and no block divides
-        # one (dividend, divisor) shape twice.
+        # the degree tests is one row of one division, a 1-D row when it is
+        # alone in its shape and a stack of two or more rows otherwise, and
+        # no block divides one (dividend, divisor) shape twice.
         blocks = self.record_divisions(monkeypatch)
         report = run_trials(golden_params, weight, trials, seed=weight + trials)
         assert len(blocks) == -(-trials // B)
         calls = [call for block in blocks for call in block]
-        assert all(a.ndim == b.ndim == 2 for a, b, _ in calls)
+        assert all(a.ndim == b.ndim == 1 or a.ndim == b.ndim == 2 <= len(a) for a, b, _ in calls)
         reached = trials - report.failures[FailureReason.NO_SOLUTION.value]
-        assert sum(len(a) for a, _, _ in calls) == reached
+        assert sum(len(a) if a.ndim == 2 else 1 for a, _, _ in calls) == reached
         for block in blocks:
-            shapes = [(a.shape, b.shape) for a, b, _ in block]
+            shapes = [(a.shape[-1], b.shape[-1]) for a, b, _ in block]
             assert len(shapes) == len(set(shapes))
 
     def test_edge_shapes_in_stacks(self, monkeypatch):
@@ -502,11 +532,40 @@ class TestTrials:
                 report = run_trials(params, weight, trials, seed)
                 assert report == trial_by_trial(params, weight, trials, seed), (p, weight, trials)
                 non_divisible += report.failures[FailureReason.NON_DIVISIBLE.value]
-            assert any(a.shape[1] == 0 for block in blocks[first:] for a, _, _ in block), p
+            assert any(a.shape[-1] == 0 for block in blocks[first:] for a, _, _ in block), p
         calls = [call for block in blocks for call in block]
         assert non_divisible
-        assert any(0 < a.shape[1] < b.shape[1] and rest.any() for a, b, rest in calls)
+        assert any(0 < a.shape[-1] < b.shape[-1] and rest.any() for a, b, rest in calls)
         assert any(len(block) > 1 for block in blocks)
+
+    def test_decode_and_trials_share_one_stage_chain(self, monkeypatch, golden_params):
+        # decode and run_trials reach the key equation only through
+        # decoder._decode_block: one call on a stack of one per decode, one
+        # per block of trials; channel.py names none of the stages.
+        stage, solve, stacks, callers = decoder._decode_block, decoder._key_equation, [], set()
+
+        def record_stage(params, entries, e):
+            stacks.append(entries.shape)
+            return stage(params, entries, e)
+
+        def record_solve(*args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name == "<listcomp>":  # its own frame before Python 3.12
+                frame = frame.f_back
+            callers.add(frame.f_code.co_name)
+            return solve(*args)
+
+        monkeypatch.setattr(decoder, "_decode_block", record_stage)
+        monkeypatch.setattr(channel, "_decode_block", record_stage)
+        monkeypatch.setattr(decoder, "_key_equation", record_solve)
+        s, r = golden_params.s, golden_params.r
+        decode(golden_params, sample_error(ChannelSpec(p=7, s=s, r=r, weight=2)))
+        assert stacks == [(1, s, r)]
+        run_trials(golden_params, weight=2, trials=B + 1, seed=5)
+        assert stacks[1:] == [(B, s, r), (1, s, r)]
+        assert callers == {"_decode_block"}
+        source = Path(channel.__file__).read_text()
+        assert not re.search(r"_key_equation|_interpolate|_unscaled|_divmod", source)
 
     def test_zero_trials(self, golden_params):
         report = run_trials(golden_params, weight=1, trials=0, seed=0)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from hrscodes import CSV_HEADER, hrs
@@ -278,6 +279,22 @@ class TestErrorPaths:
         job = write_job(tmp_path, "j.json", budget=10)
         code, _, err = run(capsys, ["mindist", "--job", job])
         assert code == 3 and "budget" in err.lower()
+
+    def test_simulate_trials_share_the_budget(self, tmp_path, capsys):
+        # simulate's trial count meets mindist's budget rule before any
+        # work: 2**70 trials exit 3 at once, and a count equal to the
+        # budget runs.
+        job = write_job(tmp_path, "j.json", weight=1, trials=2**70)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["simulate", "--job", job])
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == "" and err.count("error:") == 1
+        assert "trial count 1180591620717411303424 exceeds the budget of 1000000" in err
+        job = write_job(tmp_path, "j.json", weight=1, trials=5, budget=5)
+        code, out, _ = run(capsys, ["simulate", "--job", job])
+        assert code == 0 and out.splitlines()[1].startswith("1,5,5,")
+        code, _, err = run(capsys, ["simulate", "--job", job, "--param", "trials=6"])
+        assert code == 3 and "trial count 6 exceeds the budget of 5" in err
 
 
 class TestPipeline:

@@ -78,8 +78,6 @@ def mutated_jobs(rng: random.Random):
     for command in COMMANDS:
         for key in (k for k in KEYS if command in KEYS[k]):
             for value in MUTATIONS:
-                if key == "trials" and value is HUGE:
-                    continue  # a valid request for hours of work, not a bad job
                 job = base_job(rng, command)
                 if value is MISSING:
                     del job[key]
