@@ -216,7 +216,7 @@ class TrialReport:
     weight: int
     trials: int
     successes: int
-    failures: dict[str, int]
+    failures: dict[str, int] = dataclass_field(hash=False)
     mean_decode_us: float = dataclass_field(compare=False, default=0.0)
 
     def csv_row(self) -> str:

@@ -1,11 +1,13 @@
 """The prime field GF(p): modulus validation, array dtype and inverses.
 
 Field elements are plain Python ints in ``[0, p)``; the modulus lives in a
-:class:`PrimeField` context object that every container (polynomial, matrix,
-code) carries.  Mixing values from fields with different moduli is rejected
-wherever two carriers meet.  Bulk arithmetic runs on numpy arrays of
-:attr:`PrimeField.dtype`; the field itself only inverts scalars.
+:class:`PrimeField`, a frozen dataclass that every container (polynomial,
+matrix, code) carries: checked once when built, copyable and picklable.
+Mixing moduli is rejected wherever two carriers meet.  Bulk arithmetic runs
+on numpy arrays of :attr:`PrimeField.dtype`; the field only inverts scalars.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +53,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PrimeField:
     """The field GF(p) for a prime modulus p, 2 <= p < 2**61."""
 
-    __slots__ = ("p",)
+    p: int
 
     def __init__(self, p: int):
         if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
@@ -64,16 +67,10 @@ class PrimeField:
             raise ValueError(f"modulus must satisfy 2 <= p < 2**61, got {p}")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        self.p = p
+        object.__setattr__(self, "p", p)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
 
     def require_same(self, other: "PrimeField") -> None:
         """Raise FieldMismatchError unless `other` has the same modulus."""

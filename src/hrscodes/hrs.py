@@ -82,7 +82,7 @@ def _shared_tables(p: int, s: int, alphas: tuple) -> dict:
 
 
 class CodeParams:
-    """Validated parameters of one HRS code, with cached lookup tables."""
+    """Validated, immutable parameters of one HRS code, with cached tables."""
 
     def __init__(self, p, r: int, s: int, t: int, alphas, multipliers=None):
         field = p if isinstance(p, PrimeField) else PrimeField(require_int(p, "p"))
@@ -109,19 +109,23 @@ class CodeParams:
         if np.any(v == 0):
             raise ParameterError("multiplier entries must be nonzero")
 
-        self.field = field
-        self.r = r
-        self.s = s
-        self.t = t
-        self.alphas = alphas
-        self.multipliers = v
-        self._alpha_col = np.array(alphas, dtype=field.dtype).reshape(r, 1)
-        small = (r * s) ** 2 <= _SHARED_AREA
-        self._tables = _shared_tables(field.p, s, alphas) if small else {}
-        self._vinv = v  # unit multipliers are their own inverses
+        vinv = v  # unit multipliers are their own inverses
         if not np.all(v == 1):
-            self._vinv = np.array([[field.inv(int(x)) for x in row] for row in v], dtype=field.dtype)
-            self._vinv.flags.writeable = False
+            vinv = np.array([[field.inv(int(x)) for x in row] for row in v], dtype=field.dtype)
+            vinv.flags.writeable = False
+        small = (r * s) ** 2 <= _SHARED_AREA
+        vars(self).update(
+            field=field, r=r, s=s, t=t, alphas=alphas, multipliers=v, _vinv=vinv,
+            _alpha_col=_elements(field, np.array(alphas).reshape(r, 1), "alpha"),
+            _tables=_shared_tables(field.p, s, alphas) if small else {},
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CodeParams is immutable")
+
+    def __reduce__(self):
+        # A copy is built again: checked, its arrays frozen, its store entry taken.
+        return CodeParams, (self.field, self.r, self.s, self.t, self.alphas, self.multipliers)
 
     @property
     def p(self) -> int:

@@ -2,9 +2,11 @@
 
 A column's weight is s - i + 1 where i is the 1-based index of its topmost
 nonzero entry (0 for a zero column); a matrix weighs the sum of its column
-weights.  Codewords, received words and error patterns all live here.
-Matrix entries and a code's multipliers pass one gate, _elements.
+weights.  Codewords, received words and errors are NrtMatrix, a frozen
+dataclass; its entries and a code's multipliers pass one gate, _elements.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,16 +14,18 @@ from .errors import ParameterError, require_int
 from .field import PrimeField
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class NrtMatrix:
     """An s x r matrix over a prime field, entries reduced into [0, p).
 
     Entries are integers: an integer array, or an object array or nested
     sequence of ints and numpy integers, never bools, floats or complex.
-    The backing array is frozen after construction; arithmetic returns new
-    instances.  Row 1 (index 0) is the order-0 derivative row.
+    The backing array is read-only, in copies too (__reduce__ rebuilds them
+    through _elements).  Row 1 (index 0) is the order-0 derivative row.
     """
 
-    __slots__ = ("field", "entries")
+    field: PrimeField
+    entries: np.ndarray
 
     def __init__(self, field: PrimeField, entries):
         a = entries if isinstance(entries, np.ndarray) else np.array(entries, dtype=object)
@@ -30,8 +34,8 @@ class NrtMatrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", _elements(field, a, "matrix entry"))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NrtMatrix is immutable")
+    def __reduce__(self):
+        return NrtMatrix, (self.field, self.entries)
 
     @property
     def s(self) -> int:

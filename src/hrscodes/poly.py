@@ -1,12 +1,12 @@
 """Polynomials over GF(p): the Poly value type and the array kernel.
 
-Poly is a plain immutable value: coefficients stored low degree first,
+Poly is a frozen dataclass of a coefficient tuple, low degree first and
 normalized so the top coefficient is nonzero (the zero polynomial has an
-empty coefficient tuple and degree ``-inf``), a field, equality, hashing and
-the one sum the bench uses.  Coefficients pass errors.require_int, so a
-float, bool, string or complex is refused, not truncated.  It carries
-messages, locators and evaluators in and out of the codec; none of the
-codec's arithmetic goes through it.
+empty tuple and degree ``-inf``), and a field.  The dataclass gives equality,
+hashing, copies and pickling; Poly adds the one sum the bench uses.  Its
+__init__ passes coefficients through errors.require_int, so a float, bool,
+string or complex is refused, not truncated.  It carries messages, locators
+and evaluators in and out of the codec; none of the codec's arithmetic uses it.
 
 That arithmetic is the array kernel at the bottom of this module (_mul,
 _shift_scale, _divmod, _dot and _trim on int64 or object arrays), which
@@ -22,6 +22,8 @@ row by a divisor with any unit lead (the Euclid, and E0 for a word alone in
 its group); it reduces only when int64 could overflow.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import require_int
@@ -30,10 +32,12 @@ from .field import _INT64_MODULUS_LIMIT, PrimeField
 NEG_INF = float("-inf")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Poly:
     """A polynomial over a prime field, immutable."""
 
-    __slots__ = ("coeffs", "field")
+    coeffs: tuple
+    field: PrimeField
 
     def __init__(self, field: PrimeField, coeffs=()):
         p = field.p
@@ -42,9 +46,6 @@ class Poly:
             reduced.pop()
         object.__setattr__(self, "coeffs", tuple(reduced))
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def one(cls, field):
@@ -58,16 +59,6 @@ class Poly:
     def to_list(self) -> list[int]:
         """Coefficients low to high; the zero polynomial is [0]."""
         return list(self.coeffs) if self.coeffs else [0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def __repr__(self):
         return f"Poly({self.to_list()}, p={self.field.p})"

@@ -1,18 +1,23 @@
 import ast
+import copy
 import dataclasses
 import importlib
 import inspect
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
 import hrscodes
-from conftest import GOLDEN_RECEIVED
+from conftest import GOLDEN_EVALUATOR, GOLDEN_LOCATOR, GOLDEN_MESSAGE, GOLDEN_RECEIVED
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -194,30 +199,55 @@ def test_no_definition_only_tests_use():
     assert unreferenced_definitions() == []
 
 
+def mutable_public_classes():
+    """Names of the classes in hrscodes.__all__, other than the exceptions
+    and FailureReason, that are neither frozen dataclasses nor define a
+    __setattr__ whose body is one raise of AttributeError, found by AST."""
+    found = []
+    for name in hrscodes.__all__:
+        cls = getattr(hrscodes, name)
+        if not inspect.isclass(cls) or issubclass(cls, Exception) or cls is hrscodes.FailureReason:
+            continue
+        if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen:
+            continue
+        setter = vars(cls).get("__setattr__")
+        if setter is not None:
+            body = ast.parse(textwrap.dedent(inspect.getsource(setter))).body[0].body
+            error = getattr(body[0], "exc", None)
+            if len(body) == 1 and getattr(getattr(error, "func", error), "id", None) == "AttributeError":
+                continue
+        found.append(name)
+    return sorted(found)
+
+
+def test_public_classes_are_immutable():
+    # One rule for every public value type: it cannot be changed once built.
+    assert mutable_public_classes() == []
+
+
 # Poly and NrtMatrix are value types: arithmetic lives in the array kernel,
 # and what only the tests need lives in tests/reference.py.
 POLY_MEMBERS = [
     "__add__",
+    "__delattr__",
     "__eq__",
     "__hash__",
     "__init__",
     "__repr__",
     "__setattr__",
-    "coeffs",
     "degree",
-    "field",
     "one",
     "to_list",
 ]
 NRT_MATRIX_MEMBERS = [
     "__add__",
+    "__delattr__",
     "__eq__",
     "__init__",
+    "__reduce__",
     "__repr__",
     "__setattr__",
     "__sub__",
-    "entries",
-    "field",
     "r",
     "s",
     "shape",
@@ -231,7 +261,9 @@ NRT_MATRIX_MEMBERS = [
 CODE_PARAMS_MEMBERS = [
     "__eq__",
     "__init__",
+    "__reduce__",
     "__repr__",
+    "__setattr__",
     "alphas",
     "derivative_table",
     "field",
@@ -262,6 +294,80 @@ def test_code_params_members():
     params = hrscodes.CodeParams(7, 4, 2, 4, [1, 2, 3, 4])
     public = [name for name in vars(params) if not name.startswith("_")]
     assert sorted(members(hrscodes.CodeParams) + public) == CODE_PARAMS_MEMBERS
+
+
+BIG = 2**61 - 1
+
+
+def code(p):
+    """A small code over GF(p) with non-unit multipliers."""
+    return hrscodes.CodeParams(
+        p, 4, 2, 4, [0, 1, 2, p - 1], [[1, 2, 3, p - 1], [p - 2, 5, 1, 3]]
+    )
+
+
+def decoded(params):
+    """The decode outcome of a codeword of params."""
+    sent = hrscodes.Poly(params.field, [params.p - 1, 2])
+    return hrscodes.decode(params, hrscodes.encode(params, sent))
+
+
+# One of each public value type, built when its test runs: the field, a
+# Poly, an NrtMatrix and a code at p = 7 and on the exact path at 2**61 - 1,
+# a channel spec, a trial report and both decode outcomes.
+VALUE_OBJECTS = {
+    "field-7": lambda: hrscodes.PrimeField(7),
+    "field-big": lambda: hrscodes.PrimeField(BIG),
+    "poly-7": lambda: hrscodes.Poly(hrscodes.PrimeField(7), GOLDEN_MESSAGE),
+    "poly-big": lambda: hrscodes.Poly(hrscodes.PrimeField(BIG), [BIG - 1, 2**60, 3]),
+    "matrix-7": lambda: hrscodes.NrtMatrix(hrscodes.PrimeField(7), GOLDEN_RECEIVED),
+    "matrix-big": lambda: hrscodes.NrtMatrix(hrscodes.PrimeField(BIG), [[BIG - 1, 2**60], [0, 5]]),
+    "code-7": lambda: code(7),
+    "code-big": lambda: code(BIG),
+    "channel-spec": lambda: hrscodes.ChannelSpec(7, 2, 4, weight=2, seed=3),
+    "trial-report": lambda: hrscodes.run_trials(code(7), 2, 5, seed=1),
+    "decode-success": lambda: decoded(code(BIG)),
+    "decode-failure": lambda: hrscodes.DecodeFailure(hrscodes.FailureReason.NON_DIVISIBLE),
+}
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+@pytest.mark.parametrize("kind", VALUE_OBJECTS)
+def test_value_objects_round_trip(kind, trip):
+    """A copied or unpickled value object equals its original, hashes alike
+    where it hashes, keeps its arrays read-only and refuses every
+    assignment."""
+    obj = VALUE_OBJECTS[kind]()
+    clone = ROUND_TRIPS[trip](obj)
+    assert type(clone) is type(obj)
+    assert clone == obj
+    if type(obj).__hash__ is not None:
+        assert hash(clone) == hash(obj)
+    arrays = [value for value in vars(clone).values() if isinstance(value, np.ndarray)]
+    assert all(not a.flags.writeable for a in arrays)
+    if isinstance(obj, hrscodes.CodeParams):
+        assert len(arrays) == 3  # multipliers, their inverses, the points
+        assert clone._tables is obj._tables  # the shared store entry
+    for name in [*vars(clone), "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(clone, name, getattr(clone, name, None))
+
+
+def test_decode_outcome_as_dict(golden_params, golden_received):
+    out = hrscodes.decode(golden_params, golden_received)
+    field = {"p": 7}
+    assert dataclasses.asdict(out) == {
+        "message": {"coeffs": tuple(GOLDEN_MESSAGE), "field": field},
+        "error_weight": 2,
+        "locator": {"coeffs": tuple(GOLDEN_LOCATOR), "field": field},
+        "evaluator": {"coeffs": tuple(GOLDEN_EVALUATOR), "field": field},
+    }
 
 
 def test_readme_quick_tour():
