@@ -21,8 +21,9 @@ Computer Algebra, Lemma 5.15).  So:
 - the dense system with E monic of degree exactly e has no solution
   (no_solution) iff deg E0 > e or deg N0 - deg E0 > t-1;
 - otherwise every solution has E dividing N iff E0 divides N0
-  (non_divisible when not), and the quotient N/E = N0/E0 is the same;
-  its degree is deg N0 - deg E0 <= t-1, so it is a message of the code.
+  (non_divisible when not), and the quotient N/E = N0/E0 = r_j/t_j,
+  which _decode_block divides unscaled, is the same; its degree is
+  deg N0 - deg E0 <= t-1, so it is a message of the code.
 
 decode returns deg E0 as the error weight, the NRT distance from y to the
 codeword of f = N0/E0, without re-encoding f; it never returns a wrong
@@ -109,47 +110,33 @@ def _partial_euclid(p: int, g: np.ndarray, h: np.ndarray, stop: int):
     return w1[m:], _trim(w1[:m])
 
 
-def _key_equation(params: CodeParams, h: np.ndarray, e: int):
-    """The key equation for interpolant h and bound e: the partial Euclid
-    and the two degree tests.  NO_SOLUTION, or (r_j, t_j) as they come: N0
-    and E0 up to the scale that makes E0 monic, which the caller applies."""
-    p, t = params.p, params.t
-    g = params._interpolation_tables()[0]
-    rem, cof = _partial_euclid(p, g, h, e + t)
-    # Both are trimmed, so deg = len - 1; r_j = 0 passes the second test.
-    if len(cof) - 1 > e or len(rem) - len(cof) > t - 1:
-        return FailureReason.NO_SOLUTION
-    return rem, cof
-
-
 def _decode_block(params: CodeParams, entries: np.ndarray, e: int) -> list:
     """decode's stages on a stack of received s x r entries at bound e: one
-    unscale-and-_interpolate product, _key_equation per word, and one _divmod
-    per (len r_j, len t_j) group: a single row for a word alone in its group
-    (inverting t_j's lead once), else a stack scaled so each t_j is monic.
-    Per word it returns a FailureReason or (quotient, r_j, t_j)."""
-    p, shapes = params.p, {}
-    out = [_key_equation(params, h, e) for h in _interpolate(params, _unscaled(params, entries))]
-    for index, solved in enumerate(out):
-        if not isinstance(solved, FailureReason):
-            shapes.setdefault((len(solved[0]), len(solved[1])), []).append(index)
-    for index in shapes.values():
-        pairs = [out[i] for i in index]
-        if len(pairs) == 1:
-            divided = [_divmod(*pairs[0], p)]
+    unscale-and-_interpolate product, the partial Euclid and the two degree
+    tests per word, and one _divmod of r_j by t_j per (len r_j, len t_j)
+    group.  Per word it returns a FailureReason or (quotient, r_j, t_j),
+    r_j and t_j being N0 and E0 up to the scale that makes E0 monic."""
+    p, t, out, shapes = params.p, params.t, [], {}
+    g = params._interpolation_tables()[0]
+    for h in _interpolate(params, _unscaled(params, entries)):
+        rem, cof = _partial_euclid(p, g, h, e + t)
+        # Both are trimmed, so deg = len - 1; r_j = 0 passes the second test.
+        if len(cof) - 1 > e or len(rem) - len(cof) > t - 1:
+            out.append(FailureReason.NO_SOLUTION)
         else:
-            # Scaled by 1/lead(t_j): monic divisors, same quotients, remainders scaled.
-            rems, cofs = map(np.array, zip(*pairs))
-            inv = np.array([pow(int(c), -1, p) for c in cofs[:, -1]], dtype=cofs.dtype)[:, None]
-            divided = zip(*_divmod(rems * inv % p, cofs * inv % p, p))
-        for i, pair, (quot, rest) in zip(index, pairs, divided):
-            out[i] = FailureReason.NON_DIVISIBLE if rest.any() else (quot, *pair)
+            shapes.setdefault((len(rem), len(cof)), []).append(len(out))
+            out.append((rem, cof))
+    for index in shapes.values():
+        rems, cofs = map(np.array, zip(*(out[i] for i in index)))
+        for i, quot, rest in zip(index, *_divmod(rems, cofs, p)):
+            out[i] = FailureReason.NON_DIVISIBLE if rest.any() else (quot, *out[i])
     return out
 
 
 def decode(params: CodeParams, y: NrtMatrix, e: int | None = None):
-    """Check the input, then run _decode_block on a stack of one, which
-    divides r_j by t_j as one row; Poly values are built only for a success.
+    """Check the input, then run _decode_block on a stack of one word, whose
+    one-row division _divmod runs as a row; Poly values are built only for
+    a success, the locator and evaluator scaled to make E0 monic.
 
     Returns DecodeSuccess or DecodeFailure; received words beyond the error
     bound are an expected condition, never an exception.  Whenever y is

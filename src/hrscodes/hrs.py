@@ -120,8 +120,10 @@ class CodeParams:
             _tables=_shared_tables(field.p, s, alphas) if small else {},
         )
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("CodeParams is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # A copy is built again: checked, its arrays frozen, its store entry taken.

@@ -16,10 +16,10 @@ and _mul (each row times a band matrix) go through it.  It multiplies
 int64 limbs for every p, so no product of a matrix runs on Python ints;
 only its output is combined on them above 2**31 - 1.  A product by
 X - alpha is a shift and a scale, _shift_scale.  _divmod is the one
-division: a stack of rows by monic divisors ((X - alpha_j)**s in the
-Hermite tables, a group's E0 made monic in decoder._decode_block), or one
-row by a divisor with any unit lead (the Euclid, and E0 for a word alone in
-its group); it reduces only when int64 could overflow.
+division, of a row or a stack of rows by divisors with any unit leading
+coefficient: the Euclid's steps, the (X - alpha_j)**s of the Hermite
+tables and the N0/E0 groups of decoder._decode_block; it reduces only when
+int64 could overflow.
 """
 
 from dataclasses import dataclass
@@ -113,22 +113,30 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     """Division over GF(p) along the last axis, any rank: (q, r) with
     a = q*b + r and r one coefficient shorter than b, untrimmed.
 
-    Stacked divisors (rank 2 and up) must be monic; a single row may have
-    any unit leading coefficient, inverted once.  Each step reads the top
-    of the remainder (a Python int for one row, a column for a stack),
-    reduces and scales it into the next quotient coefficient in place, and
-    subtracts that multiple of the divisor from the entries below without
-    reducing them.  An entry in [0, p) that then takes k products, each in
-    [0, (p-1)**2], lies in (-k*(p-1)**2, p); so on the int64 path the live
-    entries are reduced only before k would pass (2**63-1-p) // (p-1)**2
-    (2 at p = 2**31-1), and object arrays never need it.  The remainder is
-    reduced once at the end.
+    Divisors may have any unit leading coefficient.  A row inverts it once,
+    and a stack of one row divides as that row.  A larger stack whose leads
+    are not all 1 is divided by its divisors scaled to monic, one inverse
+    per row, and its quotients are scaled back; an all-monic stack skips
+    both.  Each step reads the top of the remainder (a Python int for one
+    row, a column for a stack), reduces and scales it into the next
+    quotient coefficient in place, and subtracts that multiple of the
+    divisor from the entries below without reducing them.  An entry in
+    [0, p) that then takes k products, each in [0, (p-1)**2], lies in
+    (-k*(p-1)**2, p); so on the int64 path the live entries are reduced
+    only before k would pass (2**63-1-p) // (p-1)**2 (2 at p = 2**31-1),
+    and object arrays never need it.  The remainder is reduced once at the
+    end.
     """
-    deg = b.shape[-1] - 1
-    low = b[..., :deg]
-    row = a.ndim == 1
+    deg, row, scale = b.shape[-1] - 1, a.ndim == 1, None
     if row:
         inv = pow(int(b[deg]), -1, p)
+    elif len(a) == 1:
+        return tuple(x[np.newaxis] for x in _divmod(a[0], b[0], p))
+    elif (b[..., deg] != 1).any():
+        lead = b[..., deg:]
+        scale = np.array([pow(int(c), -1, p) for c in lead.flat], dtype=b.dtype).reshape(lead.shape)
+        b = b * scale % p
+    low = b[..., :deg]
     rem = a.copy()
     # On object arrays the budget exceeds the step count: no mid-loop reduction.
     budget = a.shape[-1] if rem.dtype == object else ((1 << 63) - 1 - p) // (p - 1) ** 2
@@ -143,6 +151,8 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
             below %= p
         below -= quot * low
     rem[..., :deg] %= p
+    if scale is not None:
+        rem[..., deg:] = rem[..., deg:] * scale % p
     return rem[..., deg:], rem[..., :deg]
 
 

@@ -504,16 +504,16 @@ class TestTrials:
     @pytest.mark.parametrize("weight", [2, 4])
     def test_one_stacked_division_per_shape(self, monkeypatch, golden_params, weight, trials):
         # Weight 2 is the radius, 4 lies beyond it: every trial that passes
-        # the degree tests is one row of one division, a 1-D row when it is
-        # alone in its shape and a stack of two or more rows otherwise, and
-        # no block divides one (dividend, divisor) shape twice.
+        # the degree tests is one row of one stacked division, a stack of
+        # one when it is alone in its shape, and no block divides one
+        # (dividend, divisor) shape twice.
         blocks = self.record_divisions(monkeypatch)
         report = run_trials(golden_params, weight, trials, seed=weight + trials)
         assert len(blocks) == -(-trials // B)
         calls = [call for block in blocks for call in block]
-        assert all(a.ndim == b.ndim == 1 or a.ndim == b.ndim == 2 <= len(a) for a, b, _ in calls)
+        assert all(a.ndim == b.ndim == 2 and len(a) == len(b) >= 1 for a, b, _ in calls)
         reached = trials - report.failures[FailureReason.NO_SOLUTION.value]
-        assert sum(len(a) if a.ndim == 2 else 1 for a, _, _ in calls) == reached
+        assert sum(len(a) for a, _, _ in calls) == reached
         for block in blocks:
             shapes = [(a.shape[-1], b.shape[-1]) for a, b, _ in block]
             assert len(shapes) == len(set(shapes))
@@ -542,22 +542,19 @@ class TestTrials:
         # decode and run_trials reach the key equation only through
         # decoder._decode_block: one call on a stack of one per decode, one
         # per block of trials; channel.py names none of the stages.
-        stage, solve, stacks, callers = decoder._decode_block, decoder._key_equation, [], set()
+        stage, solve, stacks, callers = decoder._decode_block, decoder._partial_euclid, [], set()
 
         def record_stage(params, entries, e):
             stacks.append(entries.shape)
             return stage(params, entries, e)
 
         def record_solve(*args):
-            frame = sys._getframe(1)
-            while frame.f_code.co_name == "<listcomp>":  # its own frame before Python 3.12
-                frame = frame.f_back
-            callers.add(frame.f_code.co_name)
+            callers.add(sys._getframe(1).f_code.co_name)
             return solve(*args)
 
         monkeypatch.setattr(decoder, "_decode_block", record_stage)
         monkeypatch.setattr(channel, "_decode_block", record_stage)
-        monkeypatch.setattr(decoder, "_key_equation", record_solve)
+        monkeypatch.setattr(decoder, "_partial_euclid", record_solve)
         s, r = golden_params.s, golden_params.r
         decode(golden_params, sample_error(ChannelSpec(p=7, s=s, r=r, weight=2)))
         assert stacks == [(1, s, r)]
@@ -565,7 +562,7 @@ class TestTrials:
         assert stacks[1:] == [(B, s, r), (1, s, r)]
         assert callers == {"_decode_block"}
         source = Path(channel.__file__).read_text()
-        assert not re.search(r"_key_equation|_interpolate|_unscaled|_divmod", source)
+        assert not re.search(r"_partial_euclid|_interpolate|_unscaled|_divmod", source)
 
     def test_zero_trials(self, golden_params):
         report = run_trials(golden_params, weight=1, trials=0, seed=0)

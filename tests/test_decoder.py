@@ -19,8 +19,7 @@ from hrscodes import (
     nrt_distance,
     sample_error,
 )
-from hrscodes.decoder import _key_equation
-from hrscodes.hrs import _interpolate, _unscaled
+from hrscodes.decoder import _decode_block
 from conftest import (
     GOLDEN_LOCATOR,
     GOLDEN_M,
@@ -359,8 +358,7 @@ class TestErrorWeightIsLocatorDegree:
                     if not out.ok:
                         assert out.reason != FailureReason.DISTANCE_EXCEEDED, case
                         continue
-                    h = _interpolate(params, _unscaled(params, y.entries))
-                    cof = _key_equation(params, h, e)[1]  # E0 up to a scale
+                    cof = _decode_block(params, y.entries[np.newaxis], e)[0][2]  # E0 up to a scale
                     e0 = Poly(field, (cof * field.inv(int(cof[-1])) % p).tolist())
                     assert e0.degree == out.error_weight == scalar_distance(params, out.message, y), case
                     assert out.locator == mul(monomial(field, e - e0.degree), e0), case

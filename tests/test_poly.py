@@ -112,18 +112,18 @@ def test_divmod_property():
 
 def check_divmod_kernel(a, b, p):
     """_divmod on the rows of a and b (lists of equal-length lists) as one
-    stack when every divisor is monic and, for a single row, as a rank-1
-    array, against long_division; every entry returned must lie in [0, p)."""
+    stack and, for a single row, also as a rank-1 array, against
+    long_division: a stack keeps its leading axis, a stack of one returns
+    the row's result under it, and every entry returned must lie in [0, p)."""
     dtype = PrimeField(p).dtype
     want = [long_division(x, y, p) for x, y in zip(a, b)]
-    results = []
-    if all(y[-1] == 1 for y in b):
-        quot, rem = _divmod(np.array(a, dtype=dtype), np.array(b, dtype=dtype), p)
-        results.append(list(zip(quot.tolist(), rem.tolist())))
+    quot, rem = _divmod(np.array(a, dtype=dtype), np.array(b, dtype=dtype), p)
+    assert quot.ndim == rem.ndim == 2 and len(quot) == len(rem) == len(a)
+    results = [list(zip(quot.tolist(), rem.tolist()))]
     if len(a) == 1:
-        quot, rem = _divmod(np.array(a[0], dtype=dtype), np.array(b[0], dtype=dtype), p)
-        results.append([(quot.tolist(), rem.tolist())])
-    assert results
+        row_quot, row_rem = _divmod(np.array(a[0], dtype=dtype), np.array(b[0], dtype=dtype), p)
+        assert (quot.shape, rem.shape) == ((1, *row_quot.shape), (1, *row_rem.shape))
+        results.append([(row_quot.tolist(), row_rem.tolist())])
     for result in results:
         assert result == want
         assert all(0 <= c < p for q, r in result for c in q + r)
@@ -134,31 +134,31 @@ def test_divmod_kernel_against_long_division():
     for p in (2, 3, 101, 2**31 - 1, 2**61 - 1):
         for case in range(40):
             # Empty, short and long dividends; divisors up to 3 longer than
-            # the dividend; stacks of 3 rows in a quarter of the cases.
+            # the dividend; stacks of 3 rows in half the cases.
             la = rnd.choice([0, rnd.randint(1, 12), rnd.randint(100, 600)])
             lb = rnd.randint(1, min(la, 40) + 3)
-            rows = 3 if case % 4 == 1 else 1
+            rows = 3 if case % 4 < 2 else 1
             a = [random_coeffs(rnd, p, la) for _ in range(rows)]
             b = [random_coeffs(rnd, p, lb - 1) for _ in range(rows)]
-            # Monic divisors in half the cases, other unit leads (single
-            # rows only: stacked divisors must be monic) otherwise.
+            # Monic divisors in half the cases, random unit leads otherwise,
+            # for single rows and stacks alike.
             for low in b:
                 low.append(1 if case % 2 else rnd.randrange(1, p))
             check_divmod_kernel(a, b, p)
     # Worst case of the int64 budget at p = 2**31 - 1: divisor, quotient and
     # remainder all p - 1 (the dividend built from them), so every step
     # subtracts (p - 1)**2 from each live entry; then a dividend of all p - 1.
-    # Monic divisors and divisors with leading coefficient p - 1.
-    p = 2**31 - 1
-    for lead in (1, p - 1):
-        for lb in (2, 3, 7, 64):
-            b = [[p - 1] * (lb - 1) + [lead]]
-            product = naive_mul([p - 1] * (601 - lb), b[0], p)
-            worst = [(c + (p - 1) * (i < lb - 1)) % p for i, c in enumerate(product)]
-            assert long_division(worst, b[0], p)[0] == [p - 1] * (601 - lb)
-            for a in ([worst], [[p - 1] * 600]):
-                check_divmod_kernel(a, b, p)
-                if lead == 1:
+    # Monic divisors and divisors with leading coefficient p - 1, as single
+    # rows and as two-row stacks; the same at p = 2**61 - 1, on object arrays.
+    for p in (2**31 - 1, 2**61 - 1):
+        for lead in (1, p - 1):
+            for lb in (2, 3, 7, 64):
+                b = [[p - 1] * (lb - 1) + [lead]]
+                product = naive_mul([p - 1] * (601 - lb), b[0], p)
+                worst = [(c + (p - 1) * (i < lb - 1)) % p for i, c in enumerate(product)]
+                assert long_division(worst, b[0], p)[0] == [p - 1] * (601 - lb)
+                for a in ([worst], [[p - 1] * 600]):
+                    check_divmod_kernel(a, b, p)
                     check_divmod_kernel(a * 2, b * 2, p)
 
 

@@ -259,6 +259,7 @@ NRT_MATRIX_MEMBERS = [
 # tables; the generator matrix with the multipliers is a test oracle,
 # reference.encoding_matrix.  Public instance attributes count here too.
 CODE_PARAMS_MEMBERS = [
+    "__delattr__",
     "__eq__",
     "__init__",
     "__reduce__",
@@ -342,7 +343,7 @@ ROUND_TRIPS = {
 def test_value_objects_round_trip(kind, trip):
     """A copied or unpickled value object equals its original, hashes alike
     where it hashes, keeps its arrays read-only and refuses every
-    assignment."""
+    assignment and deletion."""
     obj = VALUE_OBJECTS[kind]()
     clone = ROUND_TRIPS[trip](obj)
     assert type(clone) is type(obj)
@@ -357,6 +358,8 @@ def test_value_objects_round_trip(kind, trip):
     for name in [*vars(clone), "extra"]:
         with pytest.raises(AttributeError):
             setattr(clone, name, getattr(clone, name, None))
+        with pytest.raises(AttributeError):
+            delattr(clone, name)
 
 
 def test_decode_outcome_as_dict(golden_params, golden_received):
