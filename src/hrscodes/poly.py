@@ -114,12 +114,11 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     a = q*b + r and r one coefficient shorter than b, untrimmed.
 
     Divisors may have any unit leading coefficient.  A row inverts it once,
-    and a stack of one row divides as that row.  A larger stack whose leads
-    are not all 1 is divided by its divisors scaled to monic, one inverse
-    per row, and its quotients are scaled back; an all-monic stack skips
-    both.  Each step reads the top of the remainder (a Python int for one
-    row, a column for a stack), reduces and scales it into the next
-    quotient coefficient in place, and subtracts that multiple of the
+    and a stack of one row divides as that row.  A larger stack is divided
+    by its divisors scaled to monic, one inverse per row, and its quotients
+    are scaled back.  Each step reads the top of the remainder (a Python
+    int for one row, a column for a stack), reduces and scales it into the
+    next quotient coefficient in place, and subtracts that multiple of the
     divisor from the entries below without reducing them.  An entry in
     [0, p) that then takes k products, each in [0, (p-1)**2], lies in
     (-k*(p-1)**2, p); so on the int64 path the live entries are reduced
@@ -127,12 +126,12 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     and object arrays never need it.  The remainder is reduced once at the
     end.
     """
-    deg, row, scale = b.shape[-1] - 1, a.ndim == 1, None
+    deg, row = b.shape[-1] - 1, a.ndim == 1
     if row:
         inv = pow(int(b[deg]), -1, p)
     elif len(a) == 1:
         return tuple(x[np.newaxis] for x in _divmod(a[0], b[0], p))
-    elif (b[..., deg] != 1).any():
+    else:
         lead = b[..., deg:]
         scale = np.array([pow(int(c), -1, p) for c in lead.flat], dtype=b.dtype).reshape(lead.shape)
         b = b * scale % p
@@ -151,7 +150,7 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
             below %= p
         below -= quot * low
     rem[..., :deg] %= p
-    if scale is not None:
+    if not row:
         rem[..., deg:] = rem[..., deg:] * scale % p
     return rem[..., deg:], rem[..., :deg]
 

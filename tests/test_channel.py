@@ -541,8 +541,11 @@ class TestTrials:
     def test_decode_and_trials_share_one_stage_chain(self, monkeypatch, golden_params):
         # decode and run_trials reach the key equation only through
         # decoder._decode_block: one call on a stack of one per decode, one
-        # per block of trials; channel.py names none of the stages.
-        stage, solve, stacks, callers = decoder._decode_block, decoder._partial_euclid, [], set()
+        # per block of trials; channel.py names none of the stages.  decode's
+        # one-word division reaches poly._divmod again as one 1-D row, the
+        # form that costs half a stacked division of one at n = 256.
+        stage, solve, divide = decoder._decode_block, decoder._partial_euclid, poly._divmod
+        stacks, callers, rows = [], set(), []
 
         def record_stage(params, entries, e):
             stacks.append(entries.shape)
@@ -552,12 +555,19 @@ class TestTrials:
             callers.add(sys._getframe(1).f_code.co_name)
             return solve(*args)
 
+        def record_row(a, b, p):
+            if sys._getframe(2).f_code.co_name == "_decode_block":
+                rows.append((a.ndim, b.ndim))
+            return divide(a, b, p)
+
         monkeypatch.setattr(decoder, "_decode_block", record_stage)
         monkeypatch.setattr(channel, "_decode_block", record_stage)
         monkeypatch.setattr(decoder, "_partial_euclid", record_solve)
+        monkeypatch.setattr(poly, "_divmod", record_row)
         s, r = golden_params.s, golden_params.r
         decode(golden_params, sample_error(ChannelSpec(p=7, s=s, r=r, weight=2)))
         assert stacks == [(1, s, r)]
+        assert rows == [(1, 1)]
         run_trials(golden_params, weight=2, trials=B + 1, seed=5)
         assert stacks[1:] == [(B, s, r), (1, s, r)]
         assert callers == {"_decode_block"}
